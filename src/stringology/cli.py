@@ -3,19 +3,23 @@
 Usage: stringology <area> <verb> [args] [--plain] [--seed N] [--limit N]
 
 Words are accepted as letter strings (a-z), digit strings, or comma-separated
-integers; "?" stands for the don't-care symbol.  Output is one JSON object
-per line ({ok, value, meta}) unless --plain is given.  Exit status: 0 ok,
-1 for domain-level "no" answers, 2 for usage errors.
+integers.  "?" stands for the don't-care symbol; only the word of
+`period local` and the pattern of `wildcard search` accept it.  Output is one
+JSON object per line ({ok, value, meta}) unless --plain is given.  Exit
+status: 0 ok, 1 for domain-level "no" answers, 2 for errors.  Every error,
+a usage error included, is still exactly one {ok: false} line, and batch
+mode goes on with the next line.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import selftest as selftest_mod
 from .avoidance import (
@@ -138,485 +142,295 @@ def _perm_str(p: Sequence[int]) -> str:
     return ",".join(str(v) for v in p)
 
 
+LETTER_FORM = WordForm("letters")
+
+
 @dataclass
 class Command:
     area: str
     verb: str
-    ops: tuple[str, ...]           # public operations this command exercises
-    nargs: tuple[str, ...]         # positional argument names
-    run: Callable                  # (args, opts) -> (ok_bool, value, meta)
-    help: str = ""
+    ops: tuple[str, ...]    # library functions it calls, by name in this module
+    nargs: tuple[str, ...]  # positional argument names
+    kinds: tuple[str, ...]  # how each argument is parsed: a key of KINDS
+    shape: object           # a SHAPES key, field names for a tuple result, or
+                            # a handler (args, opts, form) -> (ok, value, meta)
+    meta: str = ""          # meta key that reports len(result), if any
 
 
-def _one_word(args, _):
-    return parse_word(args[0])
+def _row(area: str, verb: str, ops: str, spec: str, shape, meta: str = "") -> Command:
+    """``ops`` and ``spec`` are space-separated; an argument in ``spec`` is
+    ``name`` or ``name:kind``, and the kind defaults to ``word``."""
+    args = [a.partition(":") for a in spec.split()]
+    return Command(area, verb, tuple(ops.split()), tuple(n for n, _, _ in args),
+                   tuple(k or "word" for _, _, k in args), shape, meta)
+
+
+def _no_hole(text: str) -> str:
+    if "?" in text:
+        raise UsageError(f"'?' is not allowed in {text!r}")
+    return text
+
+
+# Argument kind -> parser.  The parsers are looked up by name when a command
+# runs, never captured here, so rebinding ``parse_word`` and friends in this
+# module (as the benchmark tracer does) reaches every command.  Only the two
+# "hole-word" arguments accept "?"; a word kind returns (word, WordForm).
+KINDS = {
+    "word": lambda t: parse_word(_no_hole(t)),
+    "hole-word": lambda t: parse_word(t),
+    "runs": lambda t: parse_runs(_no_hole(t)),
+    "lists": lambda t: [parse_word(p)[0] for p in _no_hole(t).split(",")],
+    "taps": lambda t: LfsrSpec(tuple(parse_word(_no_hole(t))[0])),
+    "poly": lambda t: parse_poly(t),
+    "int": int,
+    "int-list": lambda t: [int(p) for p in t.split(",")],
+    "float-list": lambda t: [float(p) for p in t.split(",")],
+    "text": str,
+}
+
+# Result shape -> (result, form) -> (ok, value); ``form`` is the WordForm of
+# the command's first word argument.  A "yes" result passes through as ok.
+SHAPES = {
+    "yes": lambda r, form: (r, "yes" if r else "no"),
+    "found": lambda r, form: (bool(r), r),
+    "value": lambda r, form: (True, r),
+    "list": lambda r, form: (True, list(r)),
+    "sorted": lambda r, form: (True, sorted(r)),
+    "word": lambda r, form: (True, format_word(r, form)),
+    "letters": lambda r, form: (True, format_word(r, LETTER_FORM)),
+    "bits": lambda r, form: (True, _bits(r)),
+    "csv": lambda r, form: (True, ",".join(map(str, r))),
+    "runs": lambda r, form: (True, ",".join(f"{b}:{e}" for b, e in r)),
+    # the shape of one library result type each
+    "letter-pair": lambda r, form: (True, [format_word(w, LETTER_FORM) for w in r]),
+    "bit-pair": lambda r, form: (True, {"w": _bits(r[0]), "u": _bits(r[1])}),
+    "tables": lambda t, form: (False, "no-border-embedding") if t is None else (True, {
+        "L": list(t.first), "R": list(t.last), "LEFT": list(t.left),
+        "RIGHT": list(t.right), "P": list(t.p)}),
+    "code": lambda c, form: (True, {
+        "rows": ["".join(map(str, row)) for row in hamming_matrix(c)], "n": c.n, "k": c.k}),
+    "partition": lambda p, form: (True, {
+        "left": format_word(sorted(p.left), form), "right": format_word(sorted(p.right), form)}),
+    "psi": lambda q, form: (True, {
+        "prefix": format_word(q.prefix, form), "first_new": format_word([q.first_new], form),
+        "last_new": format_word([q.last_new], form), "suffix": format_word(q.suffix, form)}),
+    "suffix-tree": lambda t, form: (True, {
+        "nodes": len(t.parent), "leaves": sum(t.is_leaf(v) for v in range(len(t.parent))),
+        "internal_depths": sorted(
+            t.depth[v] for v in range(1, len(t.parent)) if not t.is_leaf(v))}),
+    "index": lambda idx, form: (True, {"nodes": idx.node_count()}),
+    "cartesian-tree": lambda t, form: (True, {"root": t.root, "left": t.left, "right": t.right}),
+}
 
 
 # ------------------------------------------------------------ handlers
+# Commands that need options, a second library call, their own argument
+# syntax (sat clauses) or the parsed inputs besides the result.  They call
+# library functions by their names in this module, so rebinding those names
+# reaches them.
 
-def _registry() -> list[Command]:
-    cmds: list[Command] = []
-
-    def add(area, verb, ops, nargs, fn, help=""):
-        cmds.append(Command(area, verb, tuple(ops), tuple(nargs), fn, help))
-
-    def h_thue(args, opts):
-        w = thue_morse(int(args[0]))
-        return True, format_word(w, WordForm("letters")), {"length": len(w)}
-    add("word", "thue-morse", ["thue_morse"], ["k"], h_thue)
-
-    def h_fib(args, opts):
-        w = fibonacci_word(int(args[0]))
-        return True, format_word(w, WordForm("letters")), {"length": len(w)}
-    add("word", "fibonacci", ["fibonacci_word"], ["k"], h_fib)
-
-    def h_pref(args, opts):
-        w, _ = parse_word(args[0])
-        return True, prefix_table(w), {}
-    add("word", "prefix-table", ["prefix_table"], ["word"], h_pref)
-
-    def h_factors(args, opts):
-        w, form = parse_word(args[0])
-        fs = all_factors(w)
-        limit = opts.limit or 0
-        value = {"count": len(fs)}
-        if limit and len(fs) <= limit:
-            value["factors"] = sorted(format_word(f, form) for f in fs)
-        return True, value, {}
-    add("word", "factors", ["all_factors"], ["word"], h_factors)
-
-    def h_subseqs(args, opts):
-        w, form = parse_word(args[0])
-        ss = all_subsequences(w)
-        limit = opts.limit or 0
-        value = {"count": len(ss)}
-        if limit and len(ss) <= limit:
-            value["subsequences"] = sorted(format_word(s, form) for s in ss)
-        return True, value, {}
-    add("word", "subsequences", ["all_subsequences"], ["word"], h_subseqs)
-
-    def h_rle_encode(args, opts):
-        w, _ = parse_word(args[0])
-        runs = rle_encode(w)
-        return True, ",".join(f"{b}:{e}" for b, e in runs), {"runs": len(runs)}
-    add("rle", "encode", ["rle_encode"], ["word"], h_rle_encode)
-
-    def h_rle_decode(args, opts):
-        w = rle_decode(parse_runs(args[0]))
-        return True, _bits(w), {"length": len(w)}
-    add("rle", "decode", ["rle_decode"], ["runs"], h_rle_decode)
-
-    def h_rle_cover(args, opts):
-        return True, rle_shortest_cover(parse_runs(args[0])), {}
-    add("rle", "shortest-cover", ["rle_shortest_cover"], ["runs"], h_rle_cover)
-
-    def h_rle_find(args, opts):
-        found = rle_find(parse_runs(args[0]), parse_runs(args[1]))
-        return found, "yes" if found else "no", {}
-    add("rle", "find", ["rle_find"], ["pattern_runs", "text_runs"], h_rle_find)
-
-    def h_scover_check(args, opts):
-        x, _ = parse_word(args[0])
-        y, _ = parse_word(args[1])
-        ok = s_cover_check(x, y)
-        return ok, "yes" if ok else "no", {}
-    add("scover", "check", ["s_cover_check"], ["x", "y"], h_scover_check)
-
-    def h_scover_tables(args, opts):
-        x, _ = parse_word(args[0])
-        y, _ = parse_word(args[1])
-        t = s_cover_tables(x, y)
-        if t is None:
-            return False, "no-border-embedding", {}
-        return True, {
-            "L": list(t.first), "R": list(t.last), "LEFT": list(t.left),
-            "RIGHT": list(t.right), "P": list(t.p),
-        }, {}
-    add("scover", "tables", ["s_cover_tables"], ["x", "y"], h_scover_tables)
-
-    def h_scover_shortest(args, opts):
-        y, form = parse_word(args[0])
-        return True, format_word(shortest_s_cover_naive(y), form), {}
-    add("scover", "shortest", ["shortest_s_cover_naive"], ["y"], h_scover_shortest)
-
-    def h_attr_check(args, opts):
-        x, _ = parse_word(args[0])
-        positions = [int(p) for p in args[1].split(",")]
-        ok = is_attractor(x, positions)
-        return ok, "yes" if ok else "no", {}
-    add("attractor", "check", ["is_attractor"], ["word", "positions"], h_attr_check)
-
-    def h_attr_build(args, opts):
-        family, k = args[0], int(args[1])
-        att = attractor_construct(family, k)
-        return True, sorted(att), {}
-    add("attractor", "build", ["attractor_construct"], ["family", "k"], h_attr_build)
-
-    def h_period(args, opts):
-        x, _ = parse_word(args[0])
-        ok = local_period_holds(x, int(args[1]))
-        return ok, "yes" if ok else "no", {}
-    add("period", "local", ["local_period_holds"], ["word", "p"], h_period)
-
-    def h_sat(args, opts):
-        clause_text = args[0].split()
-        clauses = []
-        maxvar = 0
-        for part in clause_text:
-            lits = part.split(",")
-            if len(lits) != 2:
-                raise UsageError("each clause needs two literals")
-            pair = []
-            for lit in lits:
-                v = int(lit)
-                if v == 0:
-                    raise UsageError("literals are nonzero signed integers")
-                pair.append((abs(v) - 1, v > 0))
-                maxvar = max(maxvar, abs(v))
-            clauses.append((pair[0], pair[1]))
-        f = TwoSatFormula(maxvar, tuple(clauses))
-        vals = two_sat_solve(f)
-        if vals is None:
-            return False, "UNSAT", {}
-        return True, "".join("1" if v else "0" for v in vals), {}
-    add("sat", "solve", ["two_sat_solve"], ["clauses"], h_sat)
-
-    def h_anticover(args, opts):
-        x, form = parse_word(args[0])
-        cover = two_anticover(x)
-        if cover is None:
-            return False, "none", {}
-        return True, [list(p) for p in cover], {
-            "factors": [format_word(x[i:j + 1], form) for i, j in cover]}
-    add("anticover", "find", ["two_anticover"], ["word"], h_anticover)
-
-    def h_distinguish(args, opts):
-        x, form = parse_word(args[0])
-        y, _ = parse_word(args[1])
-        return True, format_word(distinguishing_subsequence(x, y), form), {}
-    add("distinguish", "pair", ["distinguishing_subsequence"], ["x", "y"], h_distinguish)
-
-    def h_hard(args, opts):
-        x, y = hard_pair(int(args[0]))
-        form = WordForm("letters")
-        return True, [format_word(x, form), format_word(y, form)], {}
-    add("distinguish", "hard-pair", ["hard_pair"], ["n"], h_hard)
-
-    def h_minsub(args, opts):
-        x, form = parse_word(args[0])
-        return True, format_word(min_sub(x, int(args[1])), form), {}
-    add("minsub", "run", ["min_sub"], ["word", "k"], h_minsub)
-
-    def h_lcs(args, opts):
-        u, form = parse_word(args[0])
-        v, _ = parse_word(args[1])
-        a, b = lcs(u, v)
-        return True, {
-            "length": len(a), "positions_u": a, "positions_v": b,
-            "word": format_word([u[i] for i in a], form),
-        }, {}
-    add("lcs", "run", ["lcs"], ["u", "v"], h_lcs)
-
-    def h_lps(args, opts):
-        x, form = parse_word(args[0])
-        return True, format_word(longest_palindromic_subsequence(x), form), {}
-    add("lps", "run", ["longest_palindromic_subsequence"], ["word"], h_lps)
-
-    def h_subs_count(args, opts):
-        x, _ = parse_word(args[0])
-        return True, count_subsequences(x), {}
-    add("subs", "count", ["count_subsequences"], ["word"], h_subs_count)
-
-    def h_subs_max(args, opts):
-        return True, max_subs(int(args[0])), {}
-    add("subs", "max", ["max_subs"], ["n"], h_subs_max)
-
-    def h_ham_build(args, opts):
-        code = hamming_build(int(args[0]))
-        return True, {"rows": ["".join(map(str, row)) for row in hamming_matrix(code)],
-                      "n": code.n, "k": code.k}, {}
-    add("hamming", "build", ["hamming_build"], ["r"], h_ham_build)
-
-    def h_ham_encode(args, opts):
-        code = hamming_build(int(opts.r or 3))
-        w, _ = parse_word(args[0])
-        return True, _bits(hamming_encode(code, w)), {}
-    add("hamming", "encode", ["hamming_encode"], ["word"], h_ham_encode)
-
-    def h_ham_correct(args, opts):
-        code = hamming_build(int(opts.r or 3))
-        y, _ = parse_word(args[0])
-        fixed, pos = hamming_correct(code, y)
-        return True, _bits(fixed), {"error_position": pos}
-    add("hamming", "correct", ["hamming_correct"], ["word"], h_ham_correct)
-
-    def h_huffman(args, opts):
-        weights = [float(a) for a in args[0].split(",")]
-        cost, depths = huffman_cost(weights)
-        return True, {"cost": cost, "depths": depths}, {}
-    add("huffman", "cost", ["huffman_cost"], ["weights"], h_huffman)
-
-    def h_entropy(args, opts):
-        return True, entropy([float(a) for a in args[0].split(",")]), {}
-    add("huffman", "entropy", ["entropy"], ["weights"], h_entropy)
-
-    def h_shrink(args, opts):
-        x, form = parse_word(args[0])
-        return True, format_word(shrink_runs(x), form), {}
-    add("recompress", "shrink", ["shrink_runs"], ["word"], h_shrink)
-
-    def h_partition(args, opts):
-        x, form = parse_word(args[0])
-        part = pairing_partition(x)
-        return True, {
-            "left": format_word(sorted(part.left), form),
-            "right": format_word(sorted(part.right), form),
-        }, {}
-    add("recompress", "partition", ["pairing_partition"], ["word"], h_partition)
-
-    def h_compress(args, opts):
-        x, form = parse_word(args[0])
-        left, _ = parse_word(args[1])
-        right, _ = parse_word(args[2])
-        part = PairPartition(frozenset(left), frozenset(right))
-        out = compress_pairs(x, part)
-        return True, format_word(out, form), {"length": len(out)}
-    add("recompress", "compress", ["compress_pairs"], ["word", "left", "right"], h_compress)
-
-    def h_tm_test(args, opts):
-        x, _ = parse_word(args[0])
-        ok = tm_factor_test(x)
-        return ok, "yes" if ok else "no", {}
-    add("morphic", "tm-test", ["tm_factor_test"], ["word"], h_tm_test)
-
-    def h_fib_test(args, opts):
-        x, _ = parse_word(args[0])
-        ok = fib_factor_test(x)
-        return ok, "yes" if ok else "no", {}
-    add("morphic", "fib-test", ["fib_factor_test"], ["word"], h_fib_test)
-
-    def h_gs_square(args, opts):
-        w = grasshopper_squarefree_word(int(args[0]))
-        return True, ",".join(map(str, w)), {}
-    add("grasshopper", "square-free", ["grasshopper_squarefree_word"], ["n"], h_gs_square)
-
-    def h_gs_cube(args, opts):
-        w = grasshopper_cubefree_word(int(args[0]))
-        return True, format_word(w, WordForm("letters")), {}
-    add("grasshopper", "cube-free", ["grasshopper_cubefree_word"], ["n"], h_gs_cube)
-
-    def h_recover(args, opts):
-        x, _ = parse_word(args[0])
-        z = [int(p) for p in args[1].split(",")]
-        v = recover_square(x, z)
-        return True, format_word(v, WordForm("letters")), {}
-    add("grasshopper", "recover", ["recover_square"], ["x", "z"], h_recover)
-
-    def h_unbordered(args, opts):
-        n = int(args[0])
-        u, v, t = unbordered_counts(n)
-        return True, {"u": u, "v": v, "t": t}, {}
-    add("unbordered", "counts", ["unbordered_counts"], ["n"], h_unbordered)
-
-    def h_weighted(args, opts):
-        return True, unbordered_weighted(int(args[0]), int(args[1])), {}
-    add("unbordered", "weighted", ["unbordered_weighted"], ["n", "k"], h_weighted)
-
-    def h_palprefix(args, opts):
-        return True, ternary_no_palprefix(int(args[0])), {}
-    add("unbordered", "palprefix3", ["ternary_no_palprefix"], ["n"], h_palprefix)
-
-    def _parse_lists(text: str) -> list[list[int]]:
-        return [parse_word(part)[0] for part in text.split(",")]
-
-    def h_listsq_run(args, opts):
-        lists = _parse_lists(args[0])
-        control = [int(c) for c in args[1]]
-        trace = list_squarefree(lists, control)
-        ok = len(trace.word) == len(lists)
-        return ok, format_word(list(trace.word), WordForm("letters")), {
-            "pushes": trace.ops.count("push"), "pops": trace.ops.count("pop")}
-    add("listsq", "run", ["list_squarefree"], ["lists", "control"], h_listsq_run)
-
-    def h_listsq_random(args, opts):
-        if opts.seed is None:
-            raise UsageError("listsq random requires --seed")
-        lists = _parse_lists(args[0])
-        word, tries = list_squarefree_random(lists, opts.seed)
-        return True, format_word(word, WordForm("letters")), {"tries": tries}
-    add("listsq", "random", ["list_squarefree_random"], ["lists"], h_listsq_random)
-
-    def h_psi(args, opts):
-        x, form = parse_word(args[0])
-        q = psi(x)
-        return True, {
-            "prefix": format_word(q.prefix, form),
-            "first_new": format_word([q.first_new], form),
-            "last_new": format_word([q.last_new], form),
-            "suffix": format_word(q.suffix, form),
-        }, {}
-    add("freeband", "psi", ["psi"], ["word"], h_psi)
-
-    def h_equiv(args, opts):
-        x, _ = parse_word(args[0])
-        y, _ = parse_word(args[1])
-        ok = idempotent_equivalent(x, y)
-        return ok, "yes" if ok else "no", {}
-    add("freeband", "equiv", ["idempotent_equivalent"], ["x", "y"], h_equiv)
-
-    def h_gen_seq(args, opts):
-        kind, n = args[0], int(args[1])
-        g = gen_sequence(kind, n)
-        value = {"size": slp_size(g), "length": slp_length(g)}
-        if opts.strict:
-            g2 = strict_binary(g)
-            value["strict_size"] = slp_size(g2)
-        if opts.expand:
-            value["word"] = ",".join(map(str, slp_expand(g)))
-        return True, value, {}
-    add("gen", "seq", ["gen_sequence", "slp_size", "slp_length", "slp_expand",
-                       "strict_binary"], ["kind", "n"], h_gen_seq)
-
-    def h_gen_run(args, opts):
-        kind, n = args[0], int(args[1])
-        start = None
-        if opts.start:
-            start = [int(v) for v in opts.start.split(",")]
-        perms = run_generator(kind, n, start=start)
-        return True, [_perm_str(p) for p in perms], {"count": len(perms)}
-    add("gen", "run", ["run_generator"], ["kind", "n"], h_gen_run)
-
-    def h_rho(args, opts):
-        return True, list(rho_stream(int(args[0]))), {}
-    add("gen", "rho", ["rho_stream"], ["limit"], h_rho)
-
-    def h_super_word(args, opts):
-        w = superpattern_word(int(args[0]))
-        return True, ",".join(map(str, w)), {"length": len(w)}
-    add("superpattern", "word", ["superpattern_word"], ["n"], h_super_word)
-
-    def h_embed(args, opts):
-        pi = [int(v) for v in args[0].split(",")]
-        return True, embed_permutation(pi), {}
-    add("superpattern", "embed", ["embed_permutation"], ["pi"], h_embed)
-
-    def h_shape(args, opts):
-        u = [int(v) for v in args[0].split(",")]
-        return True, list(shape(u)), {}
-    add("shape", "of", ["shape"], ["word"], h_shape)
-
-    def h_universal(args, opts):
-        w = universal_shape_word(int(args[0]))
-        return True, ",".join(map(str, w)), {"length": len(w)}
-    add("shape", "universal", ["universal_shape_word"], ["n"], h_universal)
-
-    def h_ring(args, opts):
-        w = ring_word(int(args[0]), int(args[1]))
-        return True, _bits(w), {}
-    add("ring", "word", ["ring_word"], ["n", "k"], h_ring)
-
-    def h_ring_check(args, opts):
-        w, _ = parse_word(args[0])
-        ok = is_ring_word(w, int(args[1]))
-        return ok, "yes" if ok else "no", {}
-    add("ring", "check", ["is_ring_word"], ["word", "k"], h_ring_check)
-
-    def h_lfsr(args, opts):
-        taps, _ = parse_word(args[0])
-        return True, _bits(lfsr(LfsrSpec(tuple(taps)))), {}
-    add("lfsr", "stream", ["lfsr"], ["taps"], h_lfsr)
-
-    def h_lfsr_gen(args, opts):
-        taps, _ = parse_word(args[0])
-        words = lfsr_gen(LfsrSpec(tuple(taps)))
-        if opts.limit:
-            words = words[:opts.limit]
-        return True, [_bits(w) for w in words], {}
-    add("lfsr", "gen", ["lfsr_gen"], ["taps"], h_lfsr_gen)
-
-    def h_lfsr_nth(args, opts):
-        taps, _ = parse_word(args[0])
-        method = opts.method or "matrix"
-        return True, _bits(nth_gen_word(LfsrSpec(tuple(taps)), int(args[1]), method)), {}
-    add("lfsr", "nth", ["nth_gen_word"], ["taps", "m"], h_lfsr_nth)
-
-    def h_primitive(args, opts):
-        ok = is_primitive(parse_poly(args[0]))
-        return ok, "yes" if ok else "no", {}
-    add("lfsr", "primitive", ["is_primitive"], ["poly"], h_primitive)
-
-    def h_two_cycles(args, opts):
-        w, u = debruijn_two_cycles(parse_poly(args[0]))
-        return True, {"w": _bits(w), "u": _bits(u)}, {}
-    add("lfsr", "two-cycles", ["debruijn_two_cycles"], ["poly"], h_two_cycles)
-
-    def h_suffix_tree(args, opts):
-        x, _ = parse_word(args[0])
-        t = suffix_tree(x)
-        internal = sorted(
-            t.depth[v] for v in range(1, len(t.parent)) if not t.is_leaf(v))
-        return True, {"nodes": len(t.parent),
-                      "leaves": sum(t.is_leaf(v) for v in range(len(t.parent))),
-                      "internal_depths": internal}, {}
-    add("suffix", "tree", ["suffix_tree"], ["word"], h_suffix_tree)
-
-    def h_subtable(args, opts):
-        x, _ = parse_word(args[0])
-        sub, dif = sub_table(x)
-        return True, {"sub": sub, "dif": dif}, {}
-    add("suffix", "subtable", ["sub_table"], ["word"], h_subtable)
-
-    def h_wc_build(args, opts):
-        x, _ = parse_word(args[0])
-        idx = wildcard_index(x)
-        return True, {"nodes": idx.node_count()}, {}
-    add("wildcard", "build", ["wildcard_index"], ["word"], h_wc_build)
-
-    def h_wc_search(args, opts):
-        x, _ = parse_word(args[0])
-        p, _ = parse_word(args[1])
-        ok = wildcard_search(wildcard_index(x), p)
-        return ok, "yes" if ok else "no", {}
-    add("wildcard", "search", ["wildcard_search"], ["word", "pattern"], h_wc_search)
-
-    def h_ct_tree(args, opts):
-        x, _ = parse_word(args[0])
-        t = cartesian_tree(x)
-        return True, {"root": t.root, "left": t.left, "right": t.right}, {}
-    add("cartesian", "tree", ["cartesian_tree"], ["word"], h_ct_tree)
-
-    def h_pd(args, opts):
-        x, _ = parse_word(args[0])
-        return True, parent_distance(x), {}
-    add("cartesian", "pd", ["parent_distance"], ["word"], h_pd)
-
-    def h_pd_window(args, opts):
-        x, _ = parse_word(args[0])
-        return True, pd_window(parent_distance(x), int(args[1]), int(args[2])), {}
-    add("cartesian", "pd-window", ["pd_window"], ["word", "i", "j"], h_pd_window)
-
-    def h_ct_border(args, opts):
-        x, _ = parse_word(args[0])
-        return True, ct_border(x), {}
-    add("cartesian", "border", ["ct_border"], ["word"], h_ct_border)
-
-    def h_ct_match(args, opts):
-        x, _ = parse_word(args[0])
-        y, _ = parse_word(args[1])
-        positions = ct_match(x, y)
-        return bool(positions), positions, {}
-    add("cartesian", "match", ["ct_match"], ["pattern", "text"], h_ct_match)
-
-    def h_selftest(args, opts):
-        level = opts.level or "fast"
-        failures = selftest_mod.run(level=level, out=sys.stdout)
-        return failures == 0, f"{'ok' if failures == 0 else 'FAILED'}", {"failures": failures}
-    add("selftest", "run", ["selftest"], [], h_selftest)
-
-    return cmds
-
-
-REGISTRY = _registry()
+def _listing(key, words, form, opts):
+    value = {"count": len(words)}
+    if opts.limit and len(words) <= opts.limit:
+        value[key] = sorted(format_word(w, form) for w in words)
+    return True, value, {}
+
+
+def h_factors(args, opts, form):
+    return _listing("factors", all_factors(*args), form, opts)
+
+
+def h_subsequences(args, opts, form):
+    return _listing("subsequences", all_subsequences(*args), form, opts)
+
+
+def h_sat(args, opts, form):
+    clauses = []
+    maxvar = 0
+    for part in args[0].split():
+        lits = part.split(",")
+        if len(lits) != 2:
+            raise UsageError("each clause needs two literals")
+        pair = []
+        for lit in lits:
+            v = int(lit)
+            if v == 0:
+                raise UsageError("literals are nonzero signed integers")
+            pair.append((abs(v) - 1, v > 0))
+            maxvar = max(maxvar, abs(v))
+        clauses.append((pair[0], pair[1]))
+    vals = two_sat_solve(TwoSatFormula(maxvar, tuple(clauses)))
+    if vals is None:
+        return False, "UNSAT", {}
+    return True, "".join("1" if v else "0" for v in vals), {}
+
+
+def h_anticover(args, opts, form):
+    x, = args
+    cover = two_anticover(x)
+    if cover is None:
+        return False, "none", {}
+    return True, [list(p) for p in cover], {
+        "factors": [format_word(x[i:j + 1], form) for i, j in cover]}
+
+
+def h_lcs(args, opts, form):
+    u, v = args
+    a, b = lcs(u, v)
+    return True, {
+        "length": len(a), "positions_u": a, "positions_v": b,
+        "word": format_word([u[i] for i in a], form),
+    }, {}
+
+
+def h_ham_encode(args, opts, form):
+    return True, _bits(hamming_encode(hamming_build(int(opts.r or 3)), *args)), {}
+
+
+def h_ham_correct(args, opts, form):
+    fixed, pos = hamming_correct(hamming_build(int(opts.r or 3)), *args)
+    return True, _bits(fixed), {"error_position": pos}
+
+
+def h_compress(args, opts, form):
+    x, left, right = args
+    out = compress_pairs(x, PairPartition(frozenset(left), frozenset(right)))
+    return True, format_word(out, form), {"length": len(out)}
+
+
+def h_listsq_run(args, opts, form):
+    lists, control = args
+    trace = list_squarefree(lists, [int(c) for c in control])
+    ok = len(trace.word) == len(lists)
+    return ok, format_word(list(trace.word), LETTER_FORM), {
+        "pushes": trace.ops.count("push"), "pops": trace.ops.count("pop")}
+
+
+def h_listsq_random(args, opts, form):
+    if opts.seed is None:
+        raise UsageError("listsq random requires --seed")
+    word, tries = list_squarefree_random(*args, opts.seed)
+    return True, format_word(word, LETTER_FORM), {"tries": tries}
+
+
+def h_gen_seq(args, opts, form):
+    g = gen_sequence(*args)
+    value = {"size": slp_size(g), "length": slp_length(g)}
+    if opts.strict:
+        value["strict_size"] = slp_size(strict_binary(g))
+    if opts.expand:
+        value["word"] = ",".join(map(str, slp_expand(g)))
+    return True, value, {}
+
+
+def h_gen_run(args, opts, form):
+    start = [int(v) for v in opts.start.split(",")] if opts.start else None
+    perms = run_generator(*args, start=start)
+    return True, [_perm_str(p) for p in perms], {"count": len(perms)}
+
+
+def h_lfsr_gen(args, opts, form):
+    words = lfsr_gen(*args)
+    if opts.limit:
+        words = words[:opts.limit]
+    return True, [_bits(w) for w in words], {}
+
+
+def h_lfsr_nth(args, opts, form):
+    return True, _bits(nth_gen_word(*args, opts.method or "matrix")), {}
+
+
+def h_wc_search(args, opts, form):
+    text, pattern = args
+    ok = wildcard_search(wildcard_index(text), pattern)
+    return ok, "yes" if ok else "no", {}
+
+
+def h_pd_window(args, opts, form):
+    x, i, j = args
+    return True, pd_window(parent_distance(x), i, j), {}
+
+
+def h_selftest(args, opts, form):
+    failures = selftest_mod.run(level=opts.level or "fast", out=sys.stdout)
+    return failures == 0, "ok" if failures == 0 else "FAILED", {"failures": failures}
+
+
+# ------------------------------------------------------------ command table
+
+REGISTRY = [
+    _row("word", "thue-morse", "thue_morse", "k:int", "letters", meta="length"),
+    _row("word", "fibonacci", "fibonacci_word", "k:int", "letters", meta="length"),
+    _row("word", "prefix-table", "prefix_table", "word", "value"),
+    _row("word", "factors", "all_factors", "word", h_factors),
+    _row("word", "subsequences", "all_subsequences", "word", h_subsequences),
+    _row("rle", "encode", "rle_encode", "word", "runs", meta="runs"),
+    _row("rle", "decode", "rle_decode", "runs:runs", "bits", meta="length"),
+    _row("rle", "shortest-cover", "rle_shortest_cover", "runs:runs", "value"),
+    _row("rle", "find", "rle_find", "pattern_runs:runs text_runs:runs", "yes"),
+    _row("scover", "check", "s_cover_check", "x y", "yes"),
+    _row("scover", "tables", "s_cover_tables", "x y", "tables"),
+    _row("scover", "shortest", "shortest_s_cover_naive", "y", "word"),
+    _row("attractor", "check", "is_attractor", "word positions:int-list", "yes"),
+    _row("attractor", "build", "attractor_construct", "family:text k:int", "sorted"),
+    _row("period", "local", "local_period_holds", "word:hole-word p:int", "yes"),
+    _row("sat", "solve", "two_sat_solve", "clauses:text", h_sat),
+    _row("anticover", "find", "two_anticover", "word", h_anticover),
+    _row("distinguish", "pair", "distinguishing_subsequence", "x y", "word"),
+    _row("distinguish", "hard-pair", "hard_pair", "n:int", "letter-pair"),
+    _row("minsub", "run", "min_sub", "word k:int", "word"),
+    _row("lcs", "run", "lcs", "u v", h_lcs),
+    _row("lps", "run", "longest_palindromic_subsequence", "word", "word"),
+    _row("subs", "count", "count_subsequences", "word", "value"),
+    _row("subs", "max", "max_subs", "n:int", "value"),
+    _row("hamming", "build", "hamming_build", "r:int", "code"),
+    _row("hamming", "encode", "hamming_encode", "word", h_ham_encode),
+    _row("hamming", "correct", "hamming_correct", "word", h_ham_correct),
+    _row("huffman", "cost", "huffman_cost", "weights:float-list", ("cost", "depths")),
+    _row("huffman", "entropy", "entropy", "weights:float-list", "value"),
+    _row("recompress", "shrink", "shrink_runs", "word", "word"),
+    _row("recompress", "partition", "pairing_partition", "word", "partition"),
+    _row("recompress", "compress", "compress_pairs", "word left right", h_compress),
+    _row("morphic", "tm-test", "tm_factor_test", "word", "yes"),
+    _row("morphic", "fib-test", "fib_factor_test", "word", "yes"),
+    _row("grasshopper", "square-free", "grasshopper_squarefree_word", "n:int", "csv"),
+    _row("grasshopper", "cube-free", "grasshopper_cubefree_word", "n:int", "letters"),
+    _row("grasshopper", "recover", "recover_square", "x z:int-list", "letters"),
+    _row("unbordered", "counts", "unbordered_counts", "n:int", ("u", "v", "t")),
+    _row("unbordered", "weighted", "unbordered_weighted", "n:int k:int", "value"),
+    _row("unbordered", "palprefix3", "ternary_no_palprefix", "n:int", "value"),
+    _row("listsq", "run", "list_squarefree", "lists:lists control:text", h_listsq_run),
+    _row("listsq", "random", "list_squarefree_random", "lists:lists", h_listsq_random),
+    _row("freeband", "psi", "psi", "word", "psi"),
+    _row("freeband", "equiv", "idempotent_equivalent", "x y", "yes"),
+    _row("gen", "seq", "gen_sequence slp_size slp_length slp_expand strict_binary",
+         "kind:text n:int", h_gen_seq),
+    _row("gen", "run", "run_generator", "kind:text n:int", h_gen_run),
+    _row("gen", "rho", "rho_stream", "limit:int", "list"),
+    _row("superpattern", "word", "superpattern_word", "n:int", "csv", meta="length"),
+    _row("superpattern", "embed", "embed_permutation", "pi:int-list", "value"),
+    _row("shape", "of", "shape", "word:int-list", "list"),
+    _row("shape", "universal", "universal_shape_word", "n:int", "csv", meta="length"),
+    _row("ring", "word", "ring_word", "n:int k:int", "bits"),
+    _row("ring", "check", "is_ring_word", "word k:int", "yes"),
+    _row("lfsr", "stream", "lfsr", "taps:taps", "bits"),
+    _row("lfsr", "gen", "lfsr_gen", "taps:taps", h_lfsr_gen),
+    _row("lfsr", "nth", "nth_gen_word", "taps:taps m:int", h_lfsr_nth),
+    _row("lfsr", "primitive", "is_primitive", "poly:poly", "yes"),
+    _row("lfsr", "two-cycles", "debruijn_two_cycles", "poly:poly", "bit-pair"),
+    _row("suffix", "tree", "suffix_tree", "word", "suffix-tree"),
+    _row("suffix", "subtable", "sub_table", "word", ("sub", "dif")),
+    _row("wildcard", "build", "wildcard_index", "word", "index"),
+    _row("wildcard", "search", "wildcard_search", "word pattern:hole-word", h_wc_search),
+    _row("cartesian", "tree", "cartesian_tree", "word", "cartesian-tree"),
+    _row("cartesian", "pd", "parent_distance", "word", "value"),
+    _row("cartesian", "pd-window", "pd_window", "word i:int j:int", h_pd_window),
+    _row("cartesian", "border", "ct_border", "word", "value"),
+    _row("cartesian", "match", "ct_match", "pattern text", "found"),
+    _row("selftest", "run", "selftest", "", h_selftest),
+]
+
+COMMANDS = {(c.area, c.verb): c for c in REGISTRY}
 
 
 def covered_operations() -> list[str]:
@@ -641,8 +455,17 @@ def _emit(ok: bool, value, meta, plain: bool, stream) -> None:
               file=stream)
 
 
-def _dispatch_tokens(tokens: list[str], plain: bool, stream) -> int:
-    parser = argparse.ArgumentParser(prog="stringology", add_help=False)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """Raise instead of printing usage to stderr and exiting."""
+        raise UsageError(message)
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use: the first construction
+    loads gettext's locale machinery, which would slow every import."""
+    parser = _Parser(prog="stringology", add_help=False)
     parser.add_argument("area")
     parser.add_argument("verb")
     parser.add_argument("args", nargs="*")
@@ -655,25 +478,43 @@ def _dispatch_tokens(tokens: list[str], plain: bool, stream) -> int:
     parser.add_argument("--start", default=None)
     parser.add_argument("--strict", action="store_true")
     parser.add_argument("--expand", action="store_true")
-    try:
-        opts = parser.parse_args(tokens)
-    except SystemExit:
-        return 2
-    plain = plain or opts.plain
-    cmd = next((c for c in REGISTRY if c.area == opts.area and c.verb == opts.verb), None)
+    return parser
+
+
+def _run(opts) -> tuple:
+    """Look the command up, parse its arguments by kind, call it and shape
+    the result into (ok, value, meta)."""
+    cmd = COMMANDS.get((opts.area, opts.verb))
     if cmd is None:
-        _emit(False, f"unknown command {opts.area} {opts.verb}", {}, plain, stream)
-        return 2
+        raise UsageError(f"unknown command {opts.area} {opts.verb}")
     if len(opts.args) != len(cmd.nargs):
-        _emit(False, f"expected arguments: {' '.join(cmd.nargs)}", {}, plain, stream)
-        return 2
+        raise UsageError(f"expected arguments: {' '.join(cmd.nargs)}")
+    args, form = [], None
+    for kind, text in zip(cmd.kinds, opts.args):
+        value = KINDS[kind](text)
+        if kind in ("word", "hole-word"):
+            value, word_form = value
+            form = form or word_form
+        args.append(value)
+    if callable(cmd.shape):
+        return cmd.shape(args, opts, form)
+    result = globals()[cmd.ops[0]](*args)  # looked up now, like the parsers in KINDS
+    if isinstance(cmd.shape, tuple):
+        ok, value = True, dict(zip(cmd.shape, result))
+    else:
+        ok, value = SHAPES[cmd.shape](result, form)
+    return ok, value, {cmd.meta: len(result)} if cmd.meta else {}
+
+
+def _dispatch_tokens(tokens: list[str], plain: bool, stream) -> int:
+    """Run one command line and write exactly one result line."""
     try:
-        ok, value, meta = cmd.run(opts.args, opts)
-    except UsageError as exc:
-        _emit(False, str(exc), {}, plain, stream)
-        return 2
-    except (ValueError, KeyError) as exc:
-        _emit(False, f"{type(exc).__name__}: {exc}", {}, plain, stream)
+        opts = _parser().parse_args(tokens)
+        plain = plain or opts.plain
+        ok, value, meta = _run(opts)
+    except Exception as exc:  # every failure is one {ok: false} line, never a crash
+        text = str(exc) if isinstance(exc, UsageError) else f"{type(exc).__name__}: {exc}"
+        _emit(False, text, {}, plain or "--plain" in tokens, stream)
         return 2
     _emit(ok, value, meta, plain, stream)
     return 0 if ok else 1
@@ -688,8 +529,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            rc = _dispatch_tokens(shlex.split(line) + (["--plain"] if plain else []),
-                                  plain, sys.stdout)
+            try:
+                tokens = shlex.split(line)
+            except ValueError as exc:  # unbalanced quotes
+                _emit(False, str(exc), {}, plain, sys.stdout)
+                worst = 2
+                continue
+            rc = _dispatch_tokens(tokens + (["--plain"] if plain else []), plain, sys.stdout)
             worst = max(worst, rc)
         return worst
     if not argv or argv in (["-h"], ["--help"]):

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .words import all_factors, approx_eq
+from .words import approx_eq
 
 
 def words_over(alphabet: Sequence[int], length: int) -> Iterable[tuple[int, ...]]:
@@ -39,19 +39,6 @@ def naive_shortest_cover(x: Sequence[int]) -> int:
         if ok and covered == n:
             return length
     return n
-
-
-def naive_is_cover(x: Sequence[int], length: int) -> bool:
-    n = len(x)
-    t = tuple(x)
-    pref = t[:length]
-    covered = 0
-    for i in range(n - length + 1):
-        if t[i:i + length] == pref:
-            if i > covered:
-                return False
-            covered = i + length
-    return covered == n
 
 
 def factor_search(pattern: Sequence[int], text: Sequence[int]) -> bool:
@@ -113,10 +100,6 @@ def palindromic_subseq_longest(x: Sequence[int]) -> int:
         if s == s[::-1]:
             best = max(best, len(s))
     return best
-
-
-def distinct_factor_count(x: Sequence[int]) -> int:
-    return len(all_factors(x)) if x else 0
 
 
 def grasshopper_square_exists(y: Sequence[int]) -> bool:

@@ -10,6 +10,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from time import perf_counter
 from typing import Callable
 
 from . import oracles
@@ -622,18 +623,16 @@ def run(level: str = "fast", out=sys.stdout) -> int:
     """Run the selected suites; returns the number of failures."""
     wanted = ("fast",) if level == "fast" else ("fast", "full")
     failures = 0
-    import time
-
     for name, lvl, fn in CHECKS:
         if lvl not in wanted:
             continue
-        t0 = time.time()
+        t0 = perf_counter()
         try:
             fn()
-        except AssertionError as exc:
+        except Exception as exc:  # one failing check must not end the run
             failures += 1
-            print(f"FAIL {name}: {exc}", file=out)
+            print(f"FAIL {name}: {type(exc).__name__}: {exc}", file=out)
         else:
-            print(f"pass {name} ({time.time() - t0:.1f}s)", file=out)
+            print(f"pass {name} ({perf_counter() - t0:.1f}s)", file=out)
     print(f"{'ok' if failures == 0 else 'FAILED'} level={level}", file=out)
     return failures

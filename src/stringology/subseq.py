@@ -158,6 +158,8 @@ def distinguisher_candidates(x: Sequence[int], y: Sequence[int]) -> tuple[list[i
 def distinguishing_subsequence(x: Sequence[int], y: Sequence[int]) -> list[int]:
     """A word of length <= ceil((n+1)/2) that is a subsequence of exactly one
     of the two distinct equal-length binary words."""
+    if any(s not in (0, 1) for s in (*x, *y)):
+        raise ValueError("words must be binary")
     if list(x) == list(y):
         raise ValueError("words are equal, no distinguisher exists")
     if len(x) != len(y):

@@ -3,7 +3,9 @@ import json
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from stringology import selftest
 from stringology.cli import (
     REGISTRY,
     covered_operations,
@@ -208,3 +210,71 @@ def test_anticover_command_lists_factors():
     assert rec["meta"]["factors"][0] == "ab"
     rc, _ = run_cli(["anticover", "find", "abaababbaab"])
     assert rc == 1
+
+
+def test_batch_errors_are_one_line_each_and_never_stop_the_batch():
+    lines = [
+        "distinguish pair 02 10",  # not binary: the library raises
+        "subs count ab --seed x",  # argparse rejects the option value
+        "subs count ab --bogus",   # argparse rejects the option
+        'subs count "ab',          # shlex finds no closing quotation
+        "subs count abab",
+    ]
+    rc, out = run_cli(["batch"], stdin="\n".join(lines) + "\n")
+    recs = [json.loads(line) for line in out.splitlines()]
+    assert rc == 2
+    assert [rec["ok"] for rec in recs] == [False, False, False, False, True]
+    assert recs[-1]["value"] == 12
+
+
+@pytest.mark.parametrize("args", [
+    ["subs", "count", "?"],
+    ["lps", "run", "a?a"],
+    ["word", "prefix-table", "a?b"],
+    ["rle", "decode", "1?0"],
+    ["wildcard", "search", "a?ab", "ab"],
+])
+def test_hole_rejected_where_holes_mean_nothing(args):
+    rc, out = run_cli(args)
+    assert rc == 2 and json.loads(out)["ok"] is False
+
+
+def test_hole_accepted_in_wildcard_pattern():
+    rc, out = run_cli(["wildcard", "search", "abaab", "a?a", "--plain"])
+    assert rc == 0 and out.strip() == "yes"
+
+
+# a few tokens of every argument kind, malformed ones included
+FUZZ_TOKENS = [
+    "", "?", "0", "1", "2", "3", "5", "01", "10", "0110", "a", "ab", "abba",
+    "a?b", "1,0,2", "3,1,4", "-1", "-2,1", "0.5,0.5", "1:3,0:2", "x3+x+1",
+    "3,1,0", "zaks", "fibonacci",
+]
+
+
+@pytest.mark.parametrize("cmd", [c for c in REGISTRY if c.area != "selftest"],
+                         ids=lambda c: f"{c.area}-{c.verb}")
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fuzz_every_command_writes_one_json_line(cmd, data):
+    count = max(0, len(cmd.nargs) + data.draw(st.sampled_from([-1, 0, 0, 1])))
+    args = data.draw(st.lists(st.sampled_from(FUZZ_TOKENS), min_size=count, max_size=count))
+    rc, out = run_cli([cmd.area, cmd.verb, *args])
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert set(json.loads(lines[0])) == {"ok", "value", "meta"}
+    assert rc in (0, 1, 2)
+
+
+def test_selftest_reports_every_failing_check(monkeypatch):
+    def broken():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(selftest, "CHECKS", [("broken", "fast", broken),
+                                             ("fine", "fast", lambda: None)])
+    out = io.StringIO()
+    assert selftest.run(level="fast", out=out) == 1
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "FAIL broken: ValueError: boom"
+    assert lines[1].startswith("pass fine (")
+    assert lines[2] == "FAILED level=fast"

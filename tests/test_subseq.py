@@ -134,6 +134,8 @@ def test_distinguisher_errors():
         distinguishing_subsequence([0, 1], [0, 1])
     with pytest.raises(ValueError):
         distinguishing_subsequence([0], [0, 1])
+    with pytest.raises(ValueError):
+        distinguishing_subsequence([0, 2], [1, 0])
 
 
 def test_hard_pairs():
