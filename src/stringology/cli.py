@@ -4,11 +4,12 @@ Usage: stringology <area> <verb> [args] [--plain] [--seed N] [--limit N]
 
 Words are accepted as letter strings (a-z), digit strings, or comma-separated
 integers.  "?" stands for the don't-care symbol; only the word of
-`period local` and the pattern of `wildcard search` accept it.  Output is one
-JSON object per line ({ok, value, meta}) unless --plain is given.  Exit
-status: 0 ok, 1 for domain-level "no" answers, 2 for errors.  Every error,
-a usage error included, is still exactly one {ok: false} line, and batch
-mode goes on with the next line.
+`period local` and the pattern of `wildcard search` accept it.  Where "?" is
+an error, so is a negative symbol, except in the integer sequences of the
+`cartesian` verbs.  Output is one JSON object per line ({ok, value, meta})
+unless --plain is given.  Exit status: 0 ok, 1 for domain-level "no"
+answers, 2 for errors.  Every error, a usage error included, is still exactly
+one {ok: false} line, and batch mode goes on with the next line.
 """
 
 from __future__ import annotations
@@ -171,22 +172,44 @@ def _no_hole(text: str) -> str:
     return text
 
 
+def _no_negative(symbols, text: str) -> None:
+    """Reject negative symbols: csv ``-1`` would otherwise read as HOLE."""
+    if any(s < 0 for s in symbols):
+        raise UsageError(f"negative symbol in {text!r}")
+
+
+def _word(text: str) -> tuple[list[int], WordForm]:
+    word, form = parse_word(_no_hole(text))
+    _no_negative(word, text)
+    return word, form
+
+
+def _runs(text: str) -> list[tuple[int, int]]:
+    runs = parse_runs(_no_hole(text))
+    _no_negative([bit for bit, _ in runs], text)
+    return runs
+
+
 # Argument kind -> parser.  The parsers are looked up by name when a command
 # runs, never captured here, so rebinding ``parse_word`` and friends in this
 # module (as the benchmark tracer does) reaches every command.  Only the two
-# "hole-word" arguments accept "?"; a word kind returns (word, WordForm).
+# "hole-word" arguments accept "?", and only "int-word" (the integer
+# sequences of the cartesian verbs) accepts negative symbols.  The kinds in
+# WORD_KINDS return (word, WordForm).
 KINDS = {
-    "word": lambda t: parse_word(_no_hole(t)),
+    "word": _word,
     "hole-word": lambda t: parse_word(t),
-    "runs": lambda t: parse_runs(_no_hole(t)),
-    "lists": lambda t: [parse_word(p)[0] for p in _no_hole(t).split(",")],
-    "taps": lambda t: LfsrSpec(tuple(parse_word(_no_hole(t))[0])),
+    "int-word": lambda t: parse_word(_no_hole(t)),
+    "runs": _runs,
+    "lists": lambda t: [_word(p)[0] for p in t.split(",")],
+    "taps": lambda t: LfsrSpec(tuple(_word(t)[0])),
     "poly": lambda t: parse_poly(t),
     "int": int,
     "int-list": lambda t: [int(p) for p in t.split(",")],
     "float-list": lambda t: [float(p) for p in t.split(",")],
     "text": str,
 }
+WORD_KINDS = ("word", "hole-word", "int-word")
 
 # Result shape -> (result, form) -> (ok, value); ``form`` is the WordForm of
 # the command's first word argument.  A "yes" result passes through as ok.
@@ -284,11 +307,13 @@ def h_lcs(args, opts, form):
 
 
 def h_ham_encode(args, opts, form):
-    return True, _bits(hamming_encode(hamming_build(int(opts.r or 3)), *args)), {}
+    code = hamming_build(3 if opts.r is None else opts.r)
+    return True, _bits(hamming_encode(code, *args)), {}
 
 
 def h_ham_correct(args, opts, form):
-    fixed, pos = hamming_correct(hamming_build(int(opts.r or 3)), *args)
+    code = hamming_build(3 if opts.r is None else opts.r)
+    fixed, pos = hamming_correct(code, *args)
     return True, _bits(fixed), {"error_position": pos}
 
 
@@ -331,7 +356,7 @@ def h_gen_run(args, opts, form):
 
 def h_lfsr_gen(args, opts, form):
     words = lfsr_gen(*args)
-    if opts.limit:
+    if opts.limit is not None:
         words = words[:opts.limit]
     return True, [_bits(w) for w in words], {}
 
@@ -422,11 +447,11 @@ REGISTRY = [
     _row("suffix", "subtable", "sub_table", "word", ("sub", "dif")),
     _row("wildcard", "build", "wildcard_index", "word", "index"),
     _row("wildcard", "search", "wildcard_search", "word pattern:hole-word", h_wc_search),
-    _row("cartesian", "tree", "cartesian_tree", "word", "cartesian-tree"),
-    _row("cartesian", "pd", "parent_distance", "word", "value"),
-    _row("cartesian", "pd-window", "pd_window", "word i:int j:int", h_pd_window),
-    _row("cartesian", "border", "ct_border", "word", "value"),
-    _row("cartesian", "match", "ct_match", "pattern text", "found"),
+    _row("cartesian", "tree", "cartesian_tree", "word:int-word", "cartesian-tree"),
+    _row("cartesian", "pd", "parent_distance", "word:int-word", "value"),
+    _row("cartesian", "pd-window", "pd_window", "word:int-word i:int j:int", h_pd_window),
+    _row("cartesian", "border", "ct_border", "word:int-word", "value"),
+    _row("cartesian", "match", "ct_match", "pattern:int-word text:int-word", "found"),
     _row("selftest", "run", "selftest", "", h_selftest),
 ]
 
@@ -492,7 +517,7 @@ def _run(opts) -> tuple:
     args, form = [], None
     for kind, text in zip(cmd.kinds, opts.args):
         value = KINDS[kind](text)
-        if kind in ("word", "hole-word"):
+        if kind in WORD_KINDS:
             value, word_form = value
             form = form or word_form
         args.append(value)

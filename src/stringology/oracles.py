@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .words import approx_eq
+from .words import all_subsequences, approx_eq
 
 
 def words_over(alphabet: Sequence[int], length: int) -> Iterable[tuple[int, ...]]:
@@ -81,13 +81,6 @@ def hole_word_local_periods(x: Sequence[int]) -> set[int]:
     }
 
 
-def subsequence_words(x: Sequence[int]) -> set[tuple[int, ...]]:
-    out: set[tuple[int, ...]] = {()}
-    for c in x:
-        out |= {t + (c,) for t in out}
-    return out
-
-
 def min_subsequence_of_length(x: Sequence[int], k: int) -> tuple[int, ...]:
     from itertools import combinations
 
@@ -96,7 +89,7 @@ def min_subsequence_of_length(x: Sequence[int], k: int) -> tuple[int, ...]:
 
 def palindromic_subseq_longest(x: Sequence[int]) -> int:
     best = 0
-    for s in subsequence_words(x):
+    for s in all_subsequences(x):
         if s == s[::-1]:
             best = max(best, len(s))
     return best

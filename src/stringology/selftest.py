@@ -1,7 +1,9 @@
 """Headless property suites: every check prints one pass/fail line.
 
 The fast level re-verifies the worked examples and small oracle sweeps; the
-full level runs the exhaustive cross-checks.
+full level runs the exhaustive cross-checks.  ``CHECKS`` is the one home of
+every oracle sweep: ``results`` runs a level's checks and yields one record
+each, and ``run`` prints those records.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import random
 import sys
 from fractions import Fraction
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 from . import oracles
 from .avoidance import (
@@ -44,7 +46,10 @@ from .subseq import (
 )
 from .twosat import TwoSatFormula, brute_force_sat, check_assignment, two_sat_solve
 from .wildcard import wildcard_index, wildcard_search
-from .words import all_factors, all_subsequences, bar, fibonacci_word, thue_morse
+from .words import (
+    all_factors, all_subsequences, bar, fibonacci_word, is_subsequence,
+    thue_morse,
+)
 
 CHECKS: list[tuple[str, str, Callable[[], None]]] = []
 
@@ -380,19 +385,20 @@ def _scover_fast():
             assert s_cover_check(x, y) == s_cover_check_naive(x, y)
 
 
+def _assert_minsub(w, subs, ks):
+    """min_sub(w, k) is the least length-k word among the subsequences."""
+    for k in ks:
+        assert tuple(min_sub(w, k)) == min(s for s in subs if len(s) == k)
+
+
 @check("minsub equals exhaustive minimum (length <= 10)", "fast")
 def _minsub_fast():
     for w in _bin_words(10):
-        subs = all_subsequences(w)
-        for k in range(1, len(w) + 1):
-            want = min(s for s in subs if len(s) == k)
-            assert tuple(min_sub(w, k)) == want
+        _assert_minsub(w, all_subsequences(w), range(1, len(w) + 1))
 
 
 @check("distinguisher bound and membership (exhaustive n <= 8)", "fast")
 def _distinguish_fast():
-    from .words import is_subsequence
-
     for n in range(1, 9):
         for xm in range(1 << n):
             x = [(xm >> i) & 1 for i in range(n)]
@@ -452,11 +458,11 @@ def _anticover_full():
 @check("minsub / counting vs enumeration (length <= 14)", "full")
 def _minsub_full():
     rng = random.Random(67)
-    for w in _bin_words(14, 13):
-        assert count_subsequences(w) == len(all_subsequences(w))
-        k = rng.randint(1, len(w))
-        want = min(s for s in all_subsequences(w) if len(s) == k)
-        assert tuple(min_sub(w, k)) == want
+    for w in _bin_words(14, 11):  # every k to length 12, one seeded k beyond
+        subs = all_subsequences(w)
+        assert count_subsequences(w) == len(subs)
+        ks = range(1, len(w) + 1) if len(w) <= 12 else [rng.randint(1, len(w))]
+        _assert_minsub(w, subs, ks)
 
 
 @check("LPS length vs exhaustive palindromic search (length <= 15)", "full")
@@ -464,21 +470,18 @@ def _lps_full():
     from .subseq import longest_palindromic_subsequence
 
     rng = random.Random(71)
-    words = [list(w) for w in _bin_words(12, 11)]
+    words = [list(w) for w in _bin_words(12, 10)]
     words += [[rng.randrange(2) for _ in range(n)]
-              for n in (13, 14, 15) for _ in range(40)]
+              for n in (13, 14, 15) for _ in range(60)]
     for w in words:
         got = longest_palindromic_subsequence(w)
         assert got == got[::-1]
-        from .words import is_subsequence
         assert is_subsequence(got, w)
         assert len(got) == oracles.palindromic_subseq_longest(w)
 
 
 @check("distinguisher length bound (all pairs n <= 10, samples to 12)", "full")
 def _distinguish_full():
-    from .words import is_subsequence
-
     for n in range(9, 11):
         for xm in range(1 << n):
             x = [(xm >> i) & 1 for i in range(n)]
@@ -524,10 +527,14 @@ def _freeband_full():
     by_sig: dict = {}
     for w, s in sigs.items():
         by_sig.setdefault(s, []).append(w)
-    # same-class pairs agree
+    # same-class pairs agree, class representatives pairwise differ
     for group in by_sig.values():
         for a, b in zip(group, group[1:]):
             assert idempotent_equivalent(a, b)
+    reps = [group[0] for group in by_sig.values()]
+    for i, a in enumerate(reps):
+        for b in reps[i + 1:]:
+            assert not idempotent_equivalent(a, b)
     # random cross pairs agree with signatures
     for _ in range(30_000):
         a, b = rng.choice(words), rng.choice(words)
@@ -619,10 +626,19 @@ def _generators_full():
         assert is_universal_shape_word(universal_shape_word(n), n)
 
 
-def run(level: str = "fast", out=sys.stdout) -> int:
-    """Run the selected suites; returns the number of failures."""
+class Result(NamedTuple):
+    """The outcome of one check."""
+
+    name: str
+    level: str
+    seconds: float
+    error: str | None  # "<Type>: <message>" if the check raised, else None
+
+
+def results(level: str = "fast") -> Iterator[Result]:
+    """Run the checks of ``level`` (full includes fast) in ``CHECKS`` order,
+    yielding each check's record as soon as it finishes."""
     wanted = ("fast",) if level == "fast" else ("fast", "full")
-    failures = 0
     for name, lvl, fn in CHECKS:
         if lvl not in wanted:
             continue
@@ -630,9 +646,20 @@ def run(level: str = "fast", out=sys.stdout) -> int:
         try:
             fn()
         except Exception as exc:  # one failing check must not end the run
-            failures += 1
-            print(f"FAIL {name}: {type(exc).__name__}: {exc}", file=out)
+            error = f"{type(exc).__name__}: {exc}"
         else:
-            print(f"pass {name} ({perf_counter() - t0:.1f}s)", file=out)
+            error = None
+        yield Result(name, lvl, perf_counter() - t0, error)
+
+
+def run(level: str = "fast", out=sys.stdout) -> int:
+    """Run the selected suites; returns the number of failures."""
+    failures = 0
+    for r in results(level):
+        if r.error is None:
+            print(f"pass {r.name} ({r.seconds:.1f}s)", file=out)
+        else:
+            failures += 1
+            print(f"FAIL {r.name}: {r.error}", file=out)
     print(f"{'ok' if failures == 0 else 'FAILED'} level={level}", file=out)
     return failures

@@ -204,15 +204,3 @@ def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
     if not rest:
         return any(sym != tree.sentinel for sym in tree.children[v] if sym != heavy_sym)
     return trie.matches_prefix(rest)
-
-
-def occurrences_debug(index: WildcardIndex, pattern: Sequence[int]) -> list[int]:
-    """All match positions by a plain scan; debugging aid without complexity
-    guarantees."""
-    text = index.tree.text[:-1]
-    m = len(pattern)
-    out = []
-    for i in range(len(text) - m + 1):
-        if all(p == HOLE or p == text[i + j] for j, p in enumerate(pattern)):
-            out.append(i)
-    return out

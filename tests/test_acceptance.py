@@ -1,18 +1,26 @@
 """Acceptance suite: one test per criterion, each printing a pass line.
 
-Scope notes for the exhaustive equivalences live in the individual asserts;
-where a stated bound would be infeasible in pure Python within the runtime
-budget, the sweep is exhaustive up to a documented size and seeded-random
-beyond it.
+Criterion 1 checks the worked examples directly.  The oracle sweeps and
+quantitative bounds behind criteria 2-5 live only in ``selftest.CHECKS``;
+one module-scoped run of level full executes each check exactly once, and
+the criteria assert on its records by check name.  Two guard tests at the
+end fail if a check name repeats or a check runs twice.  Where a stated bound
+would be infeasible in pure Python within the runtime budget, a check is
+exhaustive up to a documented size and seeded-random beyond it.
 """
 
-import itertools
 import math
-import random
-import time
+import re
+from collections import Counter
+from pathlib import Path
+from time import perf_counter
 
-from stringology import oracles, selftest
-from stringology.avoidance import fib_factor_test, tm_factor_test, unbordered_counts
+import pytest
+
+from stringology import selftest
+from stringology.avoidance import (
+    fib_factor_test, recover_square, tm_factor_test, unbordered_counts,
+)
 from stringology.cartesian import ct_border, ct_match, parent_distance
 from stringology.codec import (
     compress_pairs,
@@ -22,32 +30,14 @@ from stringology.codec import (
     huffman_cost,
     pairing_partition,
 )
-from stringology.freeband import band_signature, idempotent_equivalent, psi
+from stringology.freeband import psi
 from stringology.gf2 import Gf2Poly, LfsrSpec, cycle_nodes, debruijn_two_cycles, lfsr, lfsr_gen
 from stringology.patterns import shape_graph_euler_labels, universal_shape_word, window_shapes
-from stringology.permgen import KINDS, gen_sequence, rho_stream, run_generator
-from stringology.regularities import is_attractor, rle_shortest_cover, two_anticover
-from stringology.rings import is_ring_word, ring_word
-from stringology.rle import rle_encode
+from stringology.permgen import gen_sequence, rho_stream, run_generator
+from stringology.regularities import is_attractor
 from stringology.slp import slp_expand
-from stringology.subseq import (
-    count_subsequences,
-    distinguishing_subsequence,
-    hard_pair,
-    longest_palindromic_subsequence,
-    min_sub,
-    s_cover_check,
-    s_cover_check_naive,
-    s_cover_tables,
-    shortest_distinguisher_length,
-)
-from stringology.avoidance import recover_square
-from stringology.words import (
-    all_subsequences,
-    fibonacci_word,
-    is_subsequence,
-    thue_morse,
-)
+from stringology.subseq import count_subsequences, min_sub, s_cover_tables
+from stringology.words import fibonacci_word, thue_morse
 
 
 def letters(s):
@@ -58,14 +48,8 @@ def bits(s):
     return [int(c) for c in s]
 
 
-def bin_words(lo, hi):
-    for n in range(lo, hi + 1):
-        for mask in range(1 << n):
-            yield [(mask >> i) & 1 for i in range(n)]
-
-
 def test_criterion_1_worked_example_goldens():
-    t0 = time.time()
+    t0 = perf_counter()
 
     t = s_cover_tables(bits("01201"), bits("010210201"))
     assert list(t.left) == [0, 1, 2, 2, 3, 3, 4, 4, 4]
@@ -136,172 +120,93 @@ def test_criterion_1_worked_example_goldens():
     out = compress_pairs(letters("abcacbabcbac"), part)
     assert out == [3, 2, 0, 4, 3, 4, 0, 2] and len(out) == 8
 
-    elapsed = time.time() - t0
+    elapsed = perf_counter() - t0
     assert elapsed < 1.0, f"golden suite took {elapsed:.2f}s"
     print(f"\nACCEPTANCE 1 worked-example goldens: PASS ({elapsed:.2f}s)")
 
 
-def test_criterion_2_exhaustive_oracle_equivalences():
-    t0 = time.time()
+# The eight areas of criterion 2 -> the selftest checks whose sweeps cover it.
+ORACLE_AREAS = {
+    "scover": ["s-cover check vs coverage oracle (exhaustive small)",
+               "s-cover check vs coverage oracle (all |y| <= 14, |x| <= 4)"],
+    "anticover": ["anticover vs exhaustive subset search (all |x| <= 14)"],
+    "subseq": ["counting: subsequence DP vs enumeration (length <= 12)",
+               "minsub equals exhaustive minimum (length <= 10)",
+               "minsub / counting vs enumeration (length <= 14)",
+               "LPS length vs exhaustive palindromic search (length <= 15)"],
+    "distinguish": ["distinguisher bound and membership (exhaustive n <= 8)",
+                    "distinguisher length bound (all pairs n <= 10, samples to 12)"],
+    "factors": ["factor tests vs direct scans (length <= 11)",
+                "factor tests vs direct scans (all lengths <= 14)"],
+    "freeband": ["free band DP vs recursive quadruples (3 letters, len <= 7)",
+                 "free band class counts saturate at 7 and 160"],
+    "index": ["cartesian matching and sub-table oracles (10^3 words)"],
+    "rle": ["rle cover vs naive cover (exhaustive length <= 13)",
+            "rle cover vs naive cover (exhaustive length <= 18)"],
+}
 
-    # s-cover: exhaustive all x for |y| <= 9, then |y| <= 14 with |x| <= 4
-    # plus the first half of y as a candidate
-    for y in bin_words(2, 9):
-        for m in range(1, len(y)):
-            for mask in range(1 << m):
-                x = [(mask >> i) & 1 for i in range(m)]
-                assert s_cover_check(x, y) == s_cover_check_naive(x, y)
-    small_x = [list(x) for x in bin_words(1, 4)]
-    for y in bin_words(10, 14):
-        cands = list(small_x)
-        half = y[:len(y) // 2]
-        if 0 < len(half) < len(y):
-            cands.append(half)
-        for x in cands:
-            if len(x) < len(y):
-                assert s_cover_check(x, y) == s_cover_check_naive(x, y)
-    t_scover = time.time() - t0
-    assert t_scover < 60
+BOUND_CHECKS = [
+    "pairing bound |compressed| <= 3/4 |x| (10^4 draws)",
+    "Huffman sandwich and exact Kraft equality (10^4 draws)",
+    "wildcard index size bound, random words to n = 2000",
+    "Hamming distance >= 3 and full 1-error sweep (r=3,4)",
+    "jump identity, exhaustive n <= 8",
+    "superpattern embeds all 8! permutations",
+]
 
-    # 2-anticover vs exhaustive subset search, all binary |x| <= 14
-    t1 = time.time()
-    for x in bin_words(2, 14):
-        got = two_anticover(x)
-        assert (got is not None) == oracles.anticover_exists_bruteforce(x)
-    t_anti = time.time() - t1
-    assert t_anti < 60
-
-    # minsub + subsequence counting exhaustive to 14; LPS exhaustive to 12
-    # and seeded-random to 15 (full enumeration at 15 is out of budget)
-    t2 = time.time()
-    rng = random.Random(271)
-    for w in bin_words(1, 14):
-        assert count_subsequences(w) == len(all_subsequences(w))
-        if len(w) <= 12:
-            k = rng.randint(1, len(w))
-            assert tuple(min_sub(w, k)) == min(
-                s for s in all_subsequences(w) if len(s) == k)
-    for w in bin_words(10, 12):
-        got = longest_palindromic_subsequence(w)
-        assert got == got[::-1] and is_subsequence(got, w)
-        assert len(got) == oracles.palindromic_subseq_longest(w)
-    for n in (13, 14, 15):
-        for _ in range(60):
-            w = [rng.randrange(2) for _ in range(n)]
-            got = longest_palindromic_subsequence(w)
-            assert len(got) == oracles.palindromic_subseq_longest(w)
-    t_sub = time.time() - t2
-    assert t_sub < 60
-
-    # distinguishing bound: exhaustive pairs to n = 10, 20k samples at 11, 12;
-    # hard pairs attain the bound exactly (full BFS oracle)
-    t3 = time.time()
-    for n in range(1, 11):
-        for xm in range(1 << n):
-            x = [(xm >> i) & 1 for i in range(n)]
-            for ym in range(xm + 1, 1 << n):
-                y = [(ym >> i) & 1 for i in range(n)]
-                z = distinguishing_subsequence(x, y)
-                assert len(z) <= (n + 2) // 2
-                assert is_subsequence(z, x) != is_subsequence(z, y)
-    for n in (11, 12):
-        for _ in range(20000):
-            x = [rng.randrange(2) for _ in range(n)]
-            y = [rng.randrange(2) for _ in range(n)]
-            if x == y:
-                continue
-            z = distinguishing_subsequence(x, y)
-            assert len(z) <= (n + 2) // 2
-            assert is_subsequence(z, x) != is_subsequence(z, y)
-    for n in range(2, 13):
-        assert shortest_distinguisher_length(*hard_pair(n)) == (n + 2) // 2
-    t_dist = time.time() - t3
-    assert t_dist < 60
-
-    # factor tests vs direct scans, all |x| <= 14
-    t4 = time.time()
-    tm20 = bytes(thue_morse(20))
-    tm_factors14 = {tm20[i:i + 14] for i in range(len(tm20) - 13)}
-    fib20 = bytes(fibonacci_word(20))
-    for w in bin_words(1, 14):
-        b = bytes(w)
-        assert tm_factor_test(w) == any(b in f for f in tm_factors14)
-        assert fib_factor_test(w) == (fib20.find(b) >= 0)
-    t_fact = time.time() - t4
-    assert t_fact < 60
-
-    # free band: DP vs recursive quadruples over 3 letters, lengths <= 7
-    # (class chains + all representative cross pairs + 30k random pairs)
-    t5 = time.time()
-    words = [w for n in range(1, 8) for w in itertools.product(range(3), repeat=n)]
-    sigs = {w: band_signature(w) for w in words}
-    classes: dict = {}
-    for w, s in sigs.items():
-        classes.setdefault(s, []).append(w)
-    for group in classes.values():
-        for a, b in zip(group, group[1:]):
-            assert idempotent_equivalent(a, b)
-    reps = [group[0] for group in classes.values()]
-    for i, a in enumerate(reps):
-        for b in reps[i + 1:]:
-            assert not idempotent_equivalent(a, b)
-    for _ in range(30000):
-        a, b = rng.choice(words), rng.choice(words)
-        assert idempotent_equivalent(a, b) == (sigs[a] == sigs[b])
-    # class saturation: 7 classes on 2 letters, 160 on 3 (empty word included)
-    seen2 = set()
-    for n in range(1, 7):
-        for w in itertools.product(range(2), repeat=n):
-            seen2.add(band_signature(w))
-    assert len(seen2) + 1 == 7
-    seen3 = set(sigs.values())
-    for w in itertools.product(range(3), repeat=8):
-        seen3.add(band_signature(w))
-    assert len(seen3) + 1 == 160
-    t_band = time.time() - t5
-    assert t_band < 60
-
-    # cartesian matching and sub-table vs oracles
-    t6 = time.time()
-    selftest._index_full()
-    t_index = time.time() - t6
-    assert t_index < 60
-
-    # run-length cover vs naive cover, all binary |w| <= 18
-    t7 = time.time()
-    for n in range(1, 19):
-        for mask in range(1 << (n - 1)):
-            w = [1] + [(mask >> i) & 1 for i in range(n - 1)]
-            assert rle_shortest_cover(rle_encode(w)) == oracles.naive_shortest_cover(w)
-    t_rle = time.time() - t7
-    assert t_rle < 60
-
-    print(
-        "\nACCEPTANCE 2 exhaustive oracle equivalences: PASS "
-        f"(scover {t_scover:.0f}s, anticover {t_anti:.0f}s, subseq {t_sub:.0f}s, "
-        f"distinguish {t_dist:.0f}s, factors {t_fact:.0f}s, freeband {t_band:.0f}s, "
-        f"index {t_index:.0f}s, rle {t_rle:.0f}s)"
-    )
+GENERATOR_CHECKS = [
+    "generator completeness, every kind, n <= 6",
+    "generator completeness n = 7 and universal shapes n <= 6",
+    "ring words for all k <= 6 and admissible n",
+    "LFSR windows distinct iff primitive, degrees <= 8",
+]
 
 
-def test_criterion_3_quantitative_bounds():
-    t0 = time.time()
-    selftest._pairing()        # 10^4 random run-free words, hard 3/4 bound
-    selftest._huffman()        # 10^4 random distributions, sandwich bound
-    selftest._wildcard_size_full()   # node count <= 4 n log2 n up to n = 2000
-    selftest._hamming()        # distance >= 3 at r=3, full 1-error sweep r=3,4
-    selftest._jumps_full()     # Jumps(pi)+Jumps(pi+) = 2n+1, exhaustive n <= 8
-    selftest._superpattern_full()    # (n^2+n)/2 length and all 8! embeddings
-    print(f"\nACCEPTANCE 3 quantitative bounds: PASS ({time.time() - t0:.0f}s)")
+@pytest.fixture(scope="module")
+def full_run():
+    """One run of level full, every check wrapped to count its calls:
+    ({name: Result}, Counter of calls by name)."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper():
+            calls[name] += 1
+            fn()
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(selftest, "CHECKS",
+                   [(name, lvl, counted(name, fn)) for name, lvl, fn in selftest.CHECKS])
+        records = list(selftest.results("full"))
+    return {r.name: r for r in records}, calls
 
 
-def test_criterion_4_generator_completeness():
-    t0 = time.time()
-    for kind in KINDS:
-        for n in range(2, 8):
-            perms = run_generator(kind, n)
-            assert len(perms) == math.factorial(n)
-            assert len(set(perms)) == math.factorial(n)
+def passed_seconds(results, names):
+    """Summed seconds of the named checks, each of which ran and passed."""
+    for name in names:
+        assert name in results, f"no selftest check named {name!r}"
+        assert results[name].error is None, f"{name}: {results[name].error}"
+    return sum(results[name].seconds for name in names)
+
+
+def test_criterion_2_exhaustive_oracle_equivalences(full_run):
+    results, _ = full_run
+    secs = {area: passed_seconds(results, names) for area, names in ORACLE_AREAS.items()}
+    for area, t in secs.items():
+        assert t < 60, f"{area} checks took {t:.0f}s"
+    print("\nACCEPTANCE 2 exhaustive oracle equivalences: PASS ("
+          + ", ".join(f"{area} {t:.0f}s" for area, t in secs.items()) + ")")
+
+
+def test_criterion_3_quantitative_bounds(full_run):
+    results, _ = full_run
+    t = passed_seconds(results, BOUND_CHECKS)
+    print(f"\nACCEPTANCE 3 quantitative bounds: PASS ({t:.0f}s)")
+
+
+def test_criterion_4_generator_completeness(full_run):
+    results, _ = full_run
+    t0 = perf_counter()
     assert [  # the worked n = 3 and n = 4 traces
         "".join(map(str, p)) for p in run_generator("zaks", 3)
     ] == ["123", "213", "312", "132", "231", "321"]
@@ -318,30 +223,31 @@ def test_criterion_4_generator_completeness():
         shapes = window_shapes(w, n)
         assert len(shapes) == math.factorial(n)
         assert len(set(shapes)) == math.factorial(n)
-    for k in range(1, 7):
-        for n in range(k, (1 << k) + 1):
-            assert is_ring_word(ring_word(n, k), k)
-    selftest._lfsr_iff()  # windows distinct iff primitive, exhaustive n <= 8
-    print(f"\nACCEPTANCE 4 generator completeness: PASS ({time.time() - t0:.0f}s)")
+    t = perf_counter() - t0 + passed_seconds(results, GENERATOR_CHECKS)
+    print(f"\nACCEPTANCE 4 generator completeness: PASS ({t:.0f}s)")
 
 
-def test_criterion_5_selftest_levels():
-    import io
+def test_criterion_5_selftest_levels(full_run):
+    results, _ = full_run
+    failed = [f"{r.name}: {r.error}" for r in results.values() if r.error is not None]
+    assert not failed, failed
+    fast = sum(r.seconds for r in results.values() if r.level == "fast")
+    full = sum(r.seconds for r in results.values())
+    assert fast < 30, f"fast selftest took {fast:.0f}s"
+    assert full < 900, f"full selftest took {full:.0f}s"
+    print(f"\nACCEPTANCE 5 selftest levels: PASS (fast {fast:.0f}s, full {full:.0f}s)")
 
-    t0 = time.time()
-    out = io.StringIO()
-    failures = selftest.run(level="fast", out=out)
-    fast_elapsed = time.time() - t0
-    assert failures == 0, out.getvalue()
-    assert fast_elapsed < 30, f"fast selftest took {fast_elapsed:.0f}s"
 
-    t1 = time.time()
-    out = io.StringIO()
-    failures = selftest.run(level="full", out=out)
-    full_elapsed = time.time() - t1
-    assert failures == 0, out.getvalue()
-    assert full_elapsed < 900, f"full selftest took {full_elapsed:.0f}s"
-    print(
-        f"\nACCEPTANCE 5 selftest levels: PASS (fast {fast_elapsed:.0f}s, "
-        f"full {full_elapsed:.0f}s)"
-    )
+def test_selftest_check_names_unique():
+    names = [name for name, _, _ in selftest.CHECKS]
+    assert len(names) == len(set(names))
+
+
+def test_every_check_runs_exactly_once(full_run):
+    results, calls = full_run
+    names = [name for name, _, _ in selftest.CHECKS]
+    assert list(results) == names
+    assert calls == Counter(names), {name: n for name, n in calls.items() if n != 1}
+    # a direct call of a check function would run it a second time
+    for path in Path(__file__).parent.glob("*.py"):
+        assert not re.search(r"selftest\._", path.read_text()), path.name

@@ -233,10 +233,27 @@ def test_batch_errors_are_one_line_each_and_never_stop_the_batch():
     ["word", "prefix-table", "a?b"],
     ["rle", "decode", "1?0"],
     ["wildcard", "search", "a?ab", "ab"],
+    ["lps", "run", "1,-1,1"],  # csv -1 is HOLE's value
+    ["subs", "count", "1,-1"],
 ])
 def test_hole_rejected_where_holes_mean_nothing(args):
     rc, out = run_cli(args)
     assert rc == 2 and json.loads(out)["ok"] is False
+
+
+def test_cartesian_words_keep_negative_values():
+    rc, out = run_cli(["cartesian", "tree", "3,-1,2"])
+    assert rc == 0 and json.loads(out)["value"]["root"] == 1
+
+
+def test_hamming_r_zero_is_rejected_not_defaulted():
+    rc, out = run_cli(["hamming", "encode", "1010", "--r", "0", "--plain"])
+    assert rc == 2 and "3 <= r <= 16" in out
+
+
+def test_lfsr_gen_limit_zero_lists_nothing():
+    rc, out = run_cli(["lfsr", "gen", "110", "--limit", "0"])
+    assert rc == 0 and json.loads(out)["value"] == []
 
 
 def test_hole_accepted_in_wildcard_pattern():

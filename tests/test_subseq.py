@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from stringology.oracles import (
     min_subsequence_of_length,
     palindromic_subseq_longest,
-    subsequence_words,
 )
 from stringology.subseq import (
     count_subsequences,
@@ -86,7 +85,7 @@ def test_shortest_s_cover_candidates_agree_with_fast_check():
     for n in range(2, 11):
         for mask in range(1 << n):
             y = [(mask >> i) & 1 for i in range(n)]
-            for cand in sorted(subsequence_words(y), key=lambda c: (len(c), c)):
+            for cand in sorted(all_subsequences(y), key=lambda c: (len(c), c)):
                 if not 1 <= len(cand) < len(y):
                     continue
                 assert s_cover_check(cand, y) == s_cover_check_naive(cand, y)
@@ -200,7 +199,7 @@ def test_lcs_is_maximal_small():
         v = [rng.randrange(2) for _ in range(rng.randint(1, 9))]
         a, _ = lcs(u, v)
         best = max(
-            (len(s) for s in subsequence_words(u) if s in subsequence_words(v)),
+            (len(s) for s in all_subsequences(u) if s in all_subsequences(v)),
             default=0,
         )
         assert len(a) == best
