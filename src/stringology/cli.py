@@ -486,6 +486,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _count(text: str) -> int:
+    """The argparse type of ``--limit``: an integer >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The process's one parser, built on first use: the first construction
@@ -496,7 +504,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("args", nargs="*")
     parser.add_argument("--plain", action="store_true")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--limit", type=int, default=None)
+    parser.add_argument("--limit", type=_count, default=None)
     parser.add_argument("--level", choices=("fast", "full"), default=None)
     parser.add_argument("--method", choices=("matrix", "poly"), default=None)
     parser.add_argument("--r", type=int, default=None)

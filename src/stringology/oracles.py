@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .words import all_subsequences, approx_eq
+from .words import SizeLimitError, all_subsequences, approx_eq
 
 
 def words_over(alphabet: Sequence[int], length: int) -> Iterable[tuple[int, ...]]:
@@ -93,6 +93,40 @@ def palindromic_subseq_longest(x: Sequence[int]) -> int:
         if s == s[::-1]:
             best = max(best, len(s))
     return best
+
+
+def lcs_table(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Longest common subsequence by the full table DP; returns aligned
+    position lists.  ``subseq.lcs`` must return exactly these, ties included."""
+    n, m = len(u), len(v)
+    if n > 4000 or m > 4000:
+        raise SizeLimitError("lcs bounded at 4000")
+    prev = [0] * (m + 1)
+    table = [prev]
+    for i in range(1, n + 1):
+        cur = [0] * (m + 1)
+        ui = u[i - 1]
+        for j in range(1, m + 1):
+            if ui == v[j - 1]:
+                cur[j] = prev[j - 1] + 1
+            else:
+                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
+        table.append(cur)
+        prev = cur
+    alpha: list[int] = []
+    beta: list[int] = []
+    i, j = n, m
+    while i > 0 and j > 0:
+        if u[i - 1] == v[j - 1] and table[i][j] == table[i - 1][j - 1] + 1:
+            alpha.append(i - 1)
+            beta.append(j - 1)
+            i -= 1
+            j -= 1
+        elif table[i - 1][j] >= table[i][j - 1]:
+            i -= 1
+        else:
+            j -= 1
+    return alpha[::-1], beta[::-1]
 
 
 def grasshopper_square_exists(y: Sequence[int]) -> bool:

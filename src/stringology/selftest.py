@@ -40,7 +40,7 @@ from .rings import is_ring_word, ring_word
 from .rle import rle_decode, rle_encode
 from .subcount import sub_table
 from .subseq import (
-    count_subsequences, distinguishing_subsequence, hard_pair, max_subs,
+    count_subsequences, distinguishing_subsequence, hard_pair, lcs, max_subs,
     min_sub, s_cover_check, s_cover_check_naive,
     shortest_distinguisher_length,
 )
@@ -395,6 +395,17 @@ def _assert_minsub(w, subs, ks):
 def _minsub_fast():
     for w in _bin_words(10):
         _assert_minsub(w, all_subsequences(w), range(1, len(w) + 1))
+
+
+@check("lcs equals the table-DP oracle, positions and ties (random, length <= 40)", "fast")
+def _lcs_fast():
+    rng = random.Random(83)
+    for _ in range(300):
+        k = rng.randint(1, 5)
+        u = [rng.randrange(k) for _ in range(rng.randint(0, 40))]
+        v = [rng.randrange(k) for _ in range(rng.randint(0, 40))]
+        assert lcs(u, v) == oracles.lcs_table(u, v)
+        assert lcs(u, u[::-1]) == oracles.lcs_table(u, u[::-1])
 
 
 @check("distinguisher bound and membership (exhaustive n <= 8)", "fast")

@@ -245,32 +245,48 @@ def min_sub(x: Sequence[int], k: int) -> list[int]:
 
 
 def lcs(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Longest common subsequence; returns aligned position lists."""
+    """Longest common subsequence; returns aligned position lists.
+
+    Row i of the LCS table T (prefixes u[:i] against v) is held as one m-bit
+    int, the bit-vector recurrence of Allison and Dix (1986) in the form of
+    Hyyro (2004): bit j of ``rows[i]`` is 0 exactly where
+    T[i][j+1] = T[i][j] + 1, so T[i][j] = j - popcount(rows[i] & (2^j - 1)).
+    Each row costs a few big-int operations on the match mask of u[i-1]
+    in v.
+
+    The traceback walks from (n, m) as the table DP of
+    ``oracles.lcs_table`` does: a match steps diagonally, otherwise it
+    steps up when T[i-1][j] >= T[i][j-1], else left.  Off a match
+    T[i][j] is the larger of the two, so "up" is T[i-1][j] == T[i][j];
+    the output is the oracle's, position for position, which
+    ``longest_palindromic_subsequence`` relies on.  The n+1 rows take
+    about n*m/8 bytes (2 MB at the 4000 cap), not (n+1)(m+1) boxed ints.
+    """
     n, m = len(u), len(v)
     if n > 4000 or m > 4000:
         raise SizeLimitError("lcs bounded at 4000")
-    prev = [0] * (m + 1)
-    table = [prev]
-    for i in range(1, n + 1):
-        cur = [0] * (m + 1)
-        ui = u[i - 1]
-        for j in range(1, m + 1):
-            if ui == v[j - 1]:
-                cur[j] = prev[j - 1] + 1
-            else:
-                cur[j] = cur[j - 1] if cur[j - 1] >= prev[j] else prev[j]
-        table.append(cur)
-        prev = cur
+    masks: dict[int, int] = {}
+    for j, c in enumerate(v):
+        masks[c] = masks.get(c, 0) | (1 << j)
+    full = (1 << m) - 1
+    s = full
+    rows = [s]
+    for c in u:
+        match = masks.get(c, 0)
+        s = ((s + (s & match)) | (s & ~match)) & full
+        rows.append(s)
     alpha: list[int] = []
     beta: list[int] = []
     i, j = n, m
-    while i > 0 and j > 0:
-        if u[i - 1] == v[j - 1] and table[i][j] == table[i - 1][j - 1] + 1:
+    t = m - s.bit_count()  # T[i][j]
+    while t:  # at T[i][j] == 0, u[:i] and v[:j] share no symbol
+        if u[i - 1] == v[j - 1]:
             alpha.append(i - 1)
             beta.append(j - 1)
             i -= 1
             j -= 1
-        elif table[i - 1][j] >= table[i][j - 1]:
+            t -= 1
+        elif j - (rows[i - 1] & ((1 << j) - 1)).bit_count() == t:  # T[i-1][j]
             i -= 1
         else:
             j -= 1

@@ -133,6 +133,7 @@ ORACLE_AREAS = {
     "subseq": ["counting: subsequence DP vs enumeration (length <= 12)",
                "minsub equals exhaustive minimum (length <= 10)",
                "minsub / counting vs enumeration (length <= 14)",
+               "lcs equals the table-DP oracle, positions and ties (random, length <= 40)",
                "LPS length vs exhaustive palindromic search (length <= 15)"],
     "distinguish": ["distinguisher bound and membership (exhaustive n <= 8)",
                     "distinguisher length bound (all pairs n <= 10, samples to 12)"],

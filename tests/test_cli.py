@@ -256,6 +256,18 @@ def test_lfsr_gen_limit_zero_lists_nothing():
     assert rc == 0 and json.loads(out)["value"] == []
 
 
+@pytest.mark.parametrize("argv", [["lfsr", "gen", "110"], ["word", "factors", "0110"]])
+def test_negative_limit_is_rejected(argv):
+    rc, out = run_cli(argv + ["--limit", "-1"])
+    rec = json.loads(out)
+    assert rc == 2 and rec["ok"] is False and "--limit" in rec["value"]
+
+
+def test_word_factors_limit_zero_lists_nothing():
+    rc, out = run_cli(["word", "factors", "0110", "--limit", "0"])
+    assert rc == 0 and json.loads(out)["value"] == {"count": 8}
+
+
 def test_hole_accepted_in_wildcard_pattern():
     rc, out = run_cli(["wildcard", "search", "abaab", "a?a", "--plain"])
     assert rc == 0 and out.strip() == "yes"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stringology.oracles import (
+    lcs_table,
     min_subsequence_of_length,
     palindromic_subseq_longest,
 )
@@ -24,7 +25,13 @@ from stringology.subseq import (
     shortest_distinguisher_length,
     shortest_s_cover_naive,
 )
-from stringology.words import all_subsequences, is_subsequence
+from stringology.words import (
+    SizeLimitError,
+    all_subsequences,
+    fibonacci_word,
+    is_subsequence,
+    thue_morse,
+)
 
 
 def letters(s):
@@ -203,6 +210,32 @@ def test_lcs_is_maximal_small():
             default=0,
         )
         assert len(a) == best
+
+
+def test_lcs_equals_table_oracle():
+    # the bit-vector rows must reproduce the table DP's traceback exactly,
+    # ties included: longest_palindromic_subsequence depends on its choices
+    rng = random.Random(12)
+    pairs = [([], []), ([], [0, 1]), ([2, 0], []), ([1] * 7, [1] * 4), ([0] * 5, [1] * 5)]
+    for _ in range(1500):
+        k = rng.randint(1, 5)
+        pairs.append(([rng.randrange(k) for _ in range(rng.randint(0, 40))],
+                      [rng.randrange(k) for _ in range(rng.randint(0, 40))]))
+    tm, fib = thue_morse(9), fibonacci_word(12)
+    pairs += [(tm[:n], fib[:n]) for n in (1, 2, 5, 13, 40, 100)]
+    for n in (1, 2, 7, 20, 40):  # the call longest_palindromic_subsequence makes
+        x = [rng.randrange(3) for _ in range(n)]
+        pairs.append((x, x[::-1]))
+    pairs.append(([rng.randrange(4) for _ in range(300)], [rng.randrange(4) for _ in range(300)]))
+    for u, v in pairs:
+        assert lcs(u, v) == lcs_table(u, v), (u, v)
+
+
+def test_lcs_size_cap():
+    with pytest.raises(SizeLimitError):
+        lcs([0] * 4001, [0])
+    with pytest.raises(SizeLimitError):
+        lcs([0], [1] * 4001)
 
 
 # --------------------------------------------------------------------- LPS
