@@ -129,6 +129,33 @@ def lcs_table(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int]]
     return alpha[::-1], beta[::-1]
 
 
+def suffix_tree_shape(word: Sequence[int]) -> tuple:
+    """The compacted suffix tree of word + sentinel (max + 1, or 0 for the
+    empty word) as nested tuples (edge word, suffix label or -1,
+    ((first symbol, child), ...)), children in symbol order.  The suffixes
+    below a node are grouped on their next symbol; an edge runs on while
+    its group agrees, and a group of one suffix is a leaf."""
+    text = tuple(word) + ((max(word) + 1) if word else 0,)
+
+    def branch(starts: list[int], depth: int) -> tuple:
+        groups: dict[int, list[int]] = {}
+        for s in starts:
+            groups.setdefault(text[s + depth], []).append(s)
+        return tuple((sym, node(groups[sym], depth, depth + 1)) for sym in sorted(groups))
+
+    def node(starts: list[int], top: int, depth: int) -> tuple:
+        # every suffix in starts agrees on its first depth symbols; the
+        # edge into this node starts top symbols in
+        s0 = starts[0]
+        if len(starts) == 1:
+            return (text[s0 + top:], s0, ())
+        while len({text[s + depth] for s in starts}) == 1:
+            depth += 1
+        return (text[s0 + top:s0 + depth], -1, branch(starts, depth))
+
+    return ((), -1, branch(list(range(len(text))), 0))
+
+
 def grasshopper_square_exists(y: Sequence[int]) -> bool:
     """Reachability over simultaneous walks of the two square halves."""
     n = len(y)

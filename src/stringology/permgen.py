@@ -304,6 +304,8 @@ def rho_stream(limit: int) -> Iterator[int]:
     """Factorial ruler sequence: rho_k = max j with j! dividing k."""
     if limit > 10 ** 7:
         raise SizeLimitError("rho_stream bounded at 10**7")
+    if limit < 0:
+        raise ValueError(f"rho_stream length must be >= 0, got {limit}")
     digits: list[int] = []  # factorial representation of k-1
 
     def emit() -> int:

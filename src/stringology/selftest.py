@@ -327,6 +327,21 @@ def _ct_fast():
         assert ct_match(x, y) == ct_match_naive(x, y)
 
 
+@check("suffix tree equals the suffix-grouping oracle (random, length <= 150)", "fast")
+def _suffix_tree_fast():
+    from .suffixtree import suffix_tree
+
+    def shape(tree, v=0):
+        kids = tuple((s, shape(tree, c)) for s, c in sorted(tree.children[v].items()))
+        return (tuple(tree.edge_word(v)), tree.suffix_label[v], kids)
+
+    rng = random.Random(97)
+    for _ in range(100):
+        sigma = rng.randint(1, 4)
+        x = [rng.randrange(sigma) for _ in range(rng.randint(0, 150))]
+        assert shape(suffix_tree(x)) == oracles.suffix_tree_shape(x)
+
+
 @check("sub-table equals the factor-counting oracle (random)", "fast")
 def _subtable_fast():
     from .subcount import dif_table_marking, dif_table_minleaf

@@ -32,9 +32,8 @@ def dif_table_marking(tree: SuffixTree) -> list[int]:
 def dif_table_minleaf(tree: SuffixTree) -> list[int]:
     """Charge each edge to the smallest suffix label below it."""
     n = tree.n
-    order = tree._preorder()
     min_leaf = [n] * len(tree.parent)
-    for v in reversed(order):
+    for v in reversed(tree.order):
         if tree.is_leaf(v):
             min_leaf[v] = tree.suffix_label[v]
         if v:

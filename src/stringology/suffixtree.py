@@ -1,19 +1,23 @@
 """Compacted suffix trees over integer words with an appended sentinel.
 
-Construction is naive edge-splitting for short texts and Ukkonen's online
-algorithm above a size threshold; both produce the same structure.
+Construction is Ukkonen's on-line algorithm (Ukkonen, "On-line construction
+of suffix trees", Algorithmica 1995), followed by one traversal that fills
+string depths, leaf labels and ``order``.  ``oracles.suffix_tree_shape``
+builds the same tree by grouping suffixes; the tests and the selftest
+compare the two.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-_NAIVE_THRESHOLD = 128
-
 
 class SuffixTree:
     """Arrays per node: parent, edge span [start, end) into text, string
-    depth, children keyed by first symbol, and the suffix label on leaves."""
+    depth, children keyed by first symbol, and the suffix label on leaves
+    (-1 on the root and internal nodes).  ``order`` lists every node once,
+    the root first and each parent before its children; siblings come in
+    no particular symbol order."""
 
     def __init__(self, word: Sequence[int]):
         base = list(word)
@@ -26,35 +30,21 @@ class SuffixTree:
         self.start: list[int] = [0]
         self.end: list[int] = [0]
         self.children: list[dict[int, int]] = [{}]
-        self.suffix_label: list[int] = [-1]
-        if self.n <= _NAIVE_THRESHOLD:
-            self._build_naive()
-        else:
-            self._build_ukkonen()
+        self._build_ukkonen()
+        n, start, end = self.n, self.start, self.end
         self.depth: list[int] = [0] * len(self.parent)
-        for v in self._preorder():
-            if v:
-                self.depth[v] = self.depth[self.parent[v]] + (self.end[v] - self.start[v])
-
-    # ------------------------------------------------------------ plumbing
-
-    def _new_node(self, parent: int, start: int, end: int, label: int = -1) -> int:
-        self.parent.append(parent)
-        self.start.append(start)
-        self.end.append(end)
-        self.children.append({})
-        self.suffix_label.append(label)
-        return len(self.parent) - 1
-
-    def _preorder(self) -> list[int]:
-        order = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            for sym in sorted(self.children[v], reverse=True):
-                stack.append(self.children[v][sym])
-        return order
+        self.suffix_label: list[int] = [-1] * len(self.parent)
+        self.order: list[int] = [0]
+        depth, label, order = self.depth, self.suffix_label, self.order
+        for v in order:  # grows while it is read: breadth first
+            kids = self.children[v]
+            if kids:
+                d = depth[v]
+                for c in kids.values():
+                    depth[c] = d + end[c] - start[c]
+                order.extend(kids.values())
+            else:
+                label[v] = n - depth[v]
 
     def is_leaf(self, v: int) -> bool:
         return self.suffix_label[v] >= 0
@@ -72,41 +62,19 @@ class SuffixTree:
             stack.extend(self.children[u].values())
         return out
 
-    # -------------------------------------------------------- construction
+    def _build_ukkonen(self) -> None:
+        """Leaf edges end at n from the start: the active point never
+        reaches past the current position, so no edge is read beyond it."""
+        text, n = self.text, self.n
+        parent, start, end, children = self.parent, self.start, self.end, self.children
 
-    def _build_naive(self):
-        text = self.text
-        for k in range(self.n):
-            v = 0
-            i = k
-            while True:
-                child = self.children[v].get(text[i])
-                if child is None:
-                    leaf = self._new_node(v, i, self.n, k)
-                    self.children[v][text[i]] = leaf
-                    break
-                s, e = self.start[child], self.end[child]
-                j = 0
-                while j < e - s and text[s + j] == text[i + j]:
-                    j += 1
-                if j == e - s:
-                    v = child
-                    i += j
-                    continue
-                # split the edge at offset j
-                mid = self._new_node(v, s, s + j)
-                self.children[v][text[s]] = mid
-                self.start[child] = s + j
-                self.parent[child] = mid
-                self.children[mid][text[s + j]] = child
-                leaf = self._new_node(mid, i + j, self.n, k)
-                self.children[mid][text[i + j]] = leaf
-                break
+        def new_node(p: int, s: int, e: int) -> int:
+            parent.append(p)
+            start.append(s)
+            end.append(e)
+            children.append({})
+            return len(parent) - 1
 
-    def _build_ukkonen(self):
-        text = self.text
-        n = self.n
-        INF = n
         slink = {0: 0}
         act_node, act_edge, act_len = 0, 0, 0
         remainder = 0
@@ -116,33 +84,33 @@ class SuffixTree:
             while remainder:
                 if act_len == 0:
                     act_edge = i
-                nxt = self.children[act_node].get(text[act_edge])
+                first = text[act_edge]
+                nxt = children[act_node].get(first)
                 if nxt is None:
-                    leaf = self._new_node(act_node, i, INF, -2)
-                    self.children[act_node][text[act_edge]] = leaf
+                    children[act_node][first] = new_node(act_node, i, n)
                     if last_internal:
                         slink[last_internal] = act_node
                         last_internal = 0
                 else:
-                    edge_len = (n if self.end[nxt] == INF else self.end[nxt]) - self.start[nxt]
+                    s = start[nxt]
+                    edge_len = end[nxt] - s
                     if act_len >= edge_len:
                         act_node = nxt
                         act_edge += edge_len
                         act_len -= edge_len
                         continue
-                    if text[self.start[nxt] + act_len] == c:
+                    if text[s + act_len] == c:
                         act_len += 1
                         if last_internal:
                             slink[last_internal] = act_node
-                            last_internal = 0
                         break
-                    mid = self._new_node(act_node, self.start[nxt], self.start[nxt] + act_len)
-                    self.children[act_node][text[act_edge]] = mid
-                    self.start[nxt] = self.start[nxt] + act_len
-                    self.parent[nxt] = mid
-                    self.children[mid][text[self.start[nxt]]] = nxt
-                    leaf = self._new_node(mid, i, INF, -2)
-                    self.children[mid][c] = leaf
+                    # split the edge act_len symbols in
+                    mid = new_node(act_node, s, s + act_len)
+                    children[act_node][first] = mid
+                    start[nxt] = s + act_len
+                    parent[nxt] = mid
+                    children[mid][text[s + act_len]] = nxt
+                    children[mid][c] = new_node(mid, i, n)
                     if last_internal:
                         slink[last_internal] = mid
                     last_internal = mid
@@ -152,19 +120,6 @@ class SuffixTree:
                     act_edge = i - remainder + 1
                 else:
                     act_node = slink.get(act_node, 0)
-        # close open leaf edges and recover suffix labels from depths
-        for v in range(1, len(self.parent)):
-            if self.end[v] == INF or self.end[v] > n:
-                self.end[v] = n
-        depth = [0] * len(self.parent)
-        for v in self._preorder():
-            if v:
-                depth[v] = depth[self.parent[v]] + (self.end[v] - self.start[v])
-        for v in range(1, len(self.parent)):
-            if self.suffix_label[v] == -2 or (not self.children[v]):
-                self.suffix_label[v] = self.n - depth[v]
-            else:
-                self.suffix_label[v] = -1
 
 
 def suffix_tree(word: Sequence[int]) -> SuffixTree:

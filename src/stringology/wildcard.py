@@ -107,16 +107,15 @@ class WildcardIndex:
             raise ValueError("text must not contain holes")
         self.tree: SuffixTree = suffix_tree(word)
         tree = self.tree
-        order = tree._preorder()
         leaf_count = [0] * len(tree.parent)
-        for v in reversed(order):
+        for v in reversed(tree.order):
             if tree.is_leaf(v):
                 leaf_count[v] = 1
             if v:
                 leaf_count[tree.parent[v]] += leaf_count[v]
         self.heavy: dict[int, int] = {}
         self.side: dict[int, _Trie] = {}
-        for v in order:
+        for v in tree.order:
             kids = tree.children[v]
             if not kids:
                 continue

@@ -141,7 +141,8 @@ ORACLE_AREAS = {
                 "factor tests vs direct scans (all lengths <= 14)"],
     "freeband": ["free band DP vs recursive quadruples (3 letters, len <= 7)",
                  "free band class counts saturate at 7 and 160"],
-    "index": ["cartesian matching and sub-table oracles (10^3 words)"],
+    "index": ["suffix tree equals the suffix-grouping oracle (random, length <= 150)",
+              "cartesian matching and sub-table oracles (10^3 words)"],
     "rle": ["rle cover vs naive cover (exhaustive length <= 13)",
             "rle cover vs naive cover (exhaustive length <= 18)"],
 }

@@ -263,6 +263,12 @@ def test_negative_limit_is_rejected(argv):
     assert rc == 2 and rec["ok"] is False and "--limit" in rec["value"]
 
 
+def test_gen_rho_negative_length_is_rejected():
+    rc, out = run_cli(["gen", "rho", "-1"])
+    [line] = out.splitlines()
+    assert rc == 2 and json.loads(line)["ok"] is False and ">= 0" in line
+
+
 def test_word_factors_limit_zero_lists_nothing():
     rc, out = run_cli(["word", "factors", "0110", "--limit", "0"])
     assert rc == 0 and json.loads(out)["value"] == {"count": 8}

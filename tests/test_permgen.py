@@ -177,6 +177,12 @@ def test_rho_values():
         assert vals[k - 1] == want
 
 
+def test_rho_negative_length_is_rejected():
+    with pytest.raises(ValueError, match=">= 0"):
+        list(rho_stream(-1))
+    assert list(rho_stream(0)) == []
+
+
 def test_rho_prefix_equals_zaks_expansion():
     for n in (3, 4, 5, 6):
         want = seq("zaks", n)

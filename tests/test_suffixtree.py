@@ -1,7 +1,7 @@
 import random
 
-import stringology.suffixtree as sx
-from stringology.suffixtree import SuffixTree, suffix_tree
+from stringology import oracles
+from stringology.suffixtree import suffix_tree
 
 
 def letters(s):
@@ -13,24 +13,6 @@ def canonical(tree):
         kids = tuple((s, rec(c)) for s, c in sorted(tree.children[v].items()))
         return (tuple(tree.edge_word(v)), tree.suffix_label[v], kids)
     return rec(0)
-
-
-def build_naive(word):
-    old = sx._NAIVE_THRESHOLD
-    sx._NAIVE_THRESHOLD = 10 ** 9
-    try:
-        return SuffixTree(word)
-    finally:
-        sx._NAIVE_THRESHOLD = old
-
-
-def build_ukkonen(word):
-    old = sx._NAIVE_THRESHOLD
-    sx._NAIVE_THRESHOLD = -1
-    try:
-        return SuffixTree(word)
-    finally:
-        sx._NAIVE_THRESHOLD = old
 
 
 def test_abaab_structure():
@@ -80,18 +62,27 @@ def test_internal_nodes_have_two_children():
                 assert len(t.children[v]) >= 2
 
 
-def test_naive_equals_ukkonen():
+def test_tree_equals_suffix_grouping_oracle():
     rng = random.Random(3)
+    words = [[], [0, 1, 0, 0, 1] * 60]  # the empty word; length 300, periodic
     for _ in range(120):
         n = rng.randint(1, 180)
         sigma = rng.choice((1, 2, 3, 5))
-        w = [rng.randrange(sigma) for _ in range(n)]
-        assert canonical(build_naive(w)) == canonical(build_ukkonen(w))
+        words.append([rng.randrange(sigma) for _ in range(n)])
+    for w in words:
+        assert canonical(suffix_tree(w)) == oracles.suffix_tree_shape(w)
 
 
-def test_construction_threshold_is_transparent():
-    w = [0, 1, 0, 0, 1] * 60  # length 300, above the naive threshold
-    assert canonical(build_naive(w)) == canonical(suffix_tree(w))
+def test_order_lists_each_node_once_parents_first():
+    rng = random.Random(5)
+    words = [[], [0] * 50] + [
+        [rng.randrange(3) for _ in range(rng.randint(1, 300))] for _ in range(20)]
+    for w in words:
+        t = suffix_tree(w)
+        assert t.order[0] == 0
+        assert sorted(t.order) == list(range(len(t.parent)))
+        position = {v: i for i, v in enumerate(t.order)}
+        assert all(position[t.parent[v]] < position[v] for v in t.order[1:])
 
 
 def test_inorder_leaves_form_the_suffix_array():
