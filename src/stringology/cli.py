@@ -1,6 +1,9 @@
 """Line-oriented command front end.
 
-Usage: stringology <area> <verb> [args] [--plain] [--seed N] [--limit N]
+Usage: stringology <area> <verb> [args] [options] [--plain]
+
+A command takes only the options its REGISTRY row declares (--help lists
+them); `--plain` is the one global flag and `--` ends the options.
 
 Words are accepted as letter strings (a-z), digit strings, or comma-separated
 integers.  "?" stands for the don't-care symbol; only the word of
@@ -14,8 +17,6 @@ one {ok: false} line, and batch mode goes on with the next line.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import shlex
 import sys
@@ -153,17 +154,21 @@ class Command:
     ops: tuple[str, ...]    # library functions it calls, by name in this module
     nargs: tuple[str, ...]  # positional argument names
     kinds: tuple[str, ...]  # how each argument is parsed: a key of KINDS
+    options: dict[str, str | None]  # "--name" -> a key of KINDS, None for a flag
     shape: object           # a SHAPES key, field names for a tuple result, or
-                            # a handler (args, opts, form) -> (ok, value, meta)
+                            # a handler (args, form, **options) -> (ok, value, meta)
     meta: str = ""          # meta key that reports len(result), if any
 
 
 def _row(area: str, verb: str, ops: str, spec: str, shape, meta: str = "") -> Command:
-    """``ops`` and ``spec`` are space-separated; an argument in ``spec`` is
-    ``name`` or ``name:kind``, and the kind defaults to ``word``."""
-    args = [a.partition(":") for a in spec.split()]
-    return Command(area, verb, tuple(ops.split()), tuple(n for n, _, _ in args),
-                   tuple(k or "word" for _, _, k in args), shape, meta)
+    """``ops`` and ``spec`` are space-separated.  In ``spec`` an argument is
+    ``name`` or ``name:kind`` (the kind defaults to ``word``), a valued
+    option is ``--name:kind`` and a flag is ``--name``."""
+    items = [item.partition(":") for item in spec.split()]
+    args = [(name, kind or "word") for name, _, kind in items if not name.startswith("--")]
+    options = {name: kind or None for name, _, kind in items if name.startswith("--")}
+    return Command(area, verb, tuple(ops.split()), tuple(n for n, _ in args),
+                   tuple(k for _, k in args), options, shape, meta)
 
 
 def _no_hole(text: str) -> str:
@@ -190,12 +195,19 @@ def _runs(text: str) -> list[tuple[int, int]]:
     return runs
 
 
-# Argument kind -> parser.  The parsers are looked up by name when a command
-# runs, never captured here, so rebinding ``parse_word`` and friends in this
-# module (as the benchmark tracer does) reaches every command.  Only the two
-# "hole-word" arguments accept "?", and only "int-word" (the integer
-# sequences of the cartesian verbs) accepts negative symbols.  The kinds in
-# WORD_KINDS return (word, WordForm).
+def _nonneg_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise UsageError(f"must be >= 0, got {value}")
+    return value
+
+
+# Argument and option kind -> parser.  The parsers are looked up by name when
+# a command runs, never captured here, so rebinding ``parse_word`` and
+# friends in this module (as the benchmark tracer does) reaches every command.
+# Only the two "hole-word" arguments accept "?", and only "int-word" (the
+# integer sequences of the cartesian verbs) accepts negative symbols.  The
+# kinds in WORD_KINDS return (word, WordForm).
 KINDS = {
     "word": _word,
     "hole-word": lambda t: parse_word(t),
@@ -205,6 +217,7 @@ KINDS = {
     "taps": lambda t: LfsrSpec(tuple(_word(t)[0])),
     "poly": lambda t: parse_poly(t),
     "int": int,
+    "count": _nonneg_int,
     "int-list": lambda t: [int(p) for p in t.split(",")],
     "float-list": lambda t: [float(p) for p in t.split(",")],
     "text": str,
@@ -247,27 +260,28 @@ SHAPES = {
 
 
 # ------------------------------------------------------------ handlers
-# Commands that need options, a second library call, their own argument
-# syntax (sat clauses) or the parsed inputs besides the result.  They call
-# library functions by their names in this module, so rebinding those names
-# reaches them.
+# Commands that need a second library call, their own argument syntax (sat
+# clauses), the parsed inputs besides the result, or an option the library
+# function does not take.  The options a row declares arrive as keyword
+# arguments, and only when given.  Handlers call library functions by their
+# names in this module, so rebinding those names reaches them.
 
-def _listing(key, words, form, opts):
+def _listing(key, words, form, list_max):
     value = {"count": len(words)}
-    if opts.limit and len(words) <= opts.limit:
+    if list_max is not None and len(words) <= list_max:
         value[key] = sorted(format_word(w, form) for w in words)
     return True, value, {}
 
 
-def h_factors(args, opts, form):
-    return _listing("factors", all_factors(*args), form, opts)
+def h_factors(args, form, list_max=None):
+    return _listing("factors", all_factors(*args), form, list_max)
 
 
-def h_subsequences(args, opts, form):
-    return _listing("subsequences", all_subsequences(*args), form, opts)
+def h_subsequences(args, form, list_max=None):
+    return _listing("subsequences", all_subsequences(*args), form, list_max)
 
 
-def h_sat(args, opts, form):
+def h_sat(args, form):
     clauses = []
     maxvar = 0
     for part in args[0].split():
@@ -288,7 +302,7 @@ def h_sat(args, opts, form):
     return True, "".join("1" if v else "0" for v in vals), {}
 
 
-def h_anticover(args, opts, form):
+def h_anticover(args, form):
     x, = args
     cover = two_anticover(x)
     if cover is None:
@@ -297,7 +311,7 @@ def h_anticover(args, opts, form):
         "factors": [format_word(x[i:j + 1], form) for i, j in cover]}
 
 
-def h_lcs(args, opts, form):
+def h_lcs(args, form):
     u, v = args
     a, b = lcs(u, v)
     return True, {
@@ -306,24 +320,22 @@ def h_lcs(args, opts, form):
     }, {}
 
 
-def h_ham_encode(args, opts, form):
-    code = hamming_build(3 if opts.r is None else opts.r)
-    return True, _bits(hamming_encode(code, *args)), {}
+def h_ham_encode(args, form, r=3):
+    return True, _bits(hamming_encode(hamming_build(r), *args)), {}
 
 
-def h_ham_correct(args, opts, form):
-    code = hamming_build(3 if opts.r is None else opts.r)
-    fixed, pos = hamming_correct(code, *args)
+def h_ham_correct(args, form, r=3):
+    fixed, pos = hamming_correct(hamming_build(r), *args)
     return True, _bits(fixed), {"error_position": pos}
 
 
-def h_compress(args, opts, form):
+def h_compress(args, form):
     x, left, right = args
     out = compress_pairs(x, PairPartition(frozenset(left), frozenset(right)))
     return True, format_word(out, form), {"length": len(out)}
 
 
-def h_listsq_run(args, opts, form):
+def h_listsq_run(args, form):
     lists, control = args
     trace = list_squarefree(lists, [int(c) for c in control])
     ok = len(trace.word) == len(lists)
@@ -331,53 +343,45 @@ def h_listsq_run(args, opts, form):
         "pushes": trace.ops.count("push"), "pops": trace.ops.count("pop")}
 
 
-def h_listsq_random(args, opts, form):
-    if opts.seed is None:
+def h_listsq_random(args, form, seed=None):
+    if seed is None:
         raise UsageError("listsq random requires --seed")
-    word, tries = list_squarefree_random(*args, opts.seed)
+    word, tries = list_squarefree_random(*args, seed)
     return True, format_word(word, LETTER_FORM), {"tries": tries}
 
 
-def h_gen_seq(args, opts, form):
+def h_gen_seq(args, form, strict=False, expand=False):
     g = gen_sequence(*args)
     value = {"size": slp_size(g), "length": slp_length(g)}
-    if opts.strict:
+    if strict:
         value["strict_size"] = slp_size(strict_binary(g))
-    if opts.expand:
+    if expand:
         value["word"] = ",".join(map(str, slp_expand(g)))
     return True, value, {}
 
 
-def h_gen_run(args, opts, form):
-    start = [int(v) for v in opts.start.split(",")] if opts.start else None
+def h_gen_run(args, form, start=None):
     perms = run_generator(*args, start=start)
     return True, [_perm_str(p) for p in perms], {"count": len(perms)}
 
 
-def h_lfsr_gen(args, opts, form):
-    words = lfsr_gen(*args)
-    if opts.limit is not None:
-        words = words[:opts.limit]
-    return True, [_bits(w) for w in words], {}
+def h_lfsr_gen(args, form, limit=None):
+    return True, [_bits(w) for w in lfsr_gen(*args)[:limit]], {}
 
 
-def h_lfsr_nth(args, opts, form):
-    return True, _bits(nth_gen_word(*args, opts.method or "matrix")), {}
-
-
-def h_wc_search(args, opts, form):
+def h_wc_search(args, form):
     text, pattern = args
     ok = wildcard_search(wildcard_index(text), pattern)
     return ok, "yes" if ok else "no", {}
 
 
-def h_pd_window(args, opts, form):
+def h_pd_window(args, form):
     x, i, j = args
     return True, pd_window(parent_distance(x), i, j), {}
 
 
-def h_selftest(args, opts, form):
-    failures = selftest_mod.run(level=opts.level or "fast", out=sys.stdout)
+def h_selftest(args, form, level="fast"):
+    failures = selftest_mod.run(level=level, out=sys.stdout)
     return failures == 0, "ok" if failures == 0 else "FAILED", {"failures": failures}
 
 
@@ -387,8 +391,8 @@ REGISTRY = [
     _row("word", "thue-morse", "thue_morse", "k:int", "letters", meta="length"),
     _row("word", "fibonacci", "fibonacci_word", "k:int", "letters", meta="length"),
     _row("word", "prefix-table", "prefix_table", "word", "value"),
-    _row("word", "factors", "all_factors", "word", h_factors),
-    _row("word", "subsequences", "all_subsequences", "word", h_subsequences),
+    _row("word", "factors", "all_factors", "word --list-max:count", h_factors),
+    _row("word", "subsequences", "all_subsequences", "word --list-max:count", h_subsequences),
     _row("rle", "encode", "rle_encode", "word", "runs", meta="runs"),
     _row("rle", "decode", "rle_decode", "runs:runs", "bits", meta="length"),
     _row("rle", "shortest-cover", "rle_shortest_cover", "runs:runs", "value"),
@@ -409,8 +413,8 @@ REGISTRY = [
     _row("subs", "count", "count_subsequences", "word", "value"),
     _row("subs", "max", "max_subs", "n:int", "value"),
     _row("hamming", "build", "hamming_build", "r:int", "code"),
-    _row("hamming", "encode", "hamming_encode", "word", h_ham_encode),
-    _row("hamming", "correct", "hamming_correct", "word", h_ham_correct),
+    _row("hamming", "encode", "hamming_encode", "word --r:int", h_ham_encode),
+    _row("hamming", "correct", "hamming_correct", "word --r:int", h_ham_correct),
     _row("huffman", "cost", "huffman_cost", "weights:float-list", ("cost", "depths")),
     _row("huffman", "entropy", "entropy", "weights:float-list", "value"),
     _row("recompress", "shrink", "shrink_runs", "word", "word"),
@@ -425,12 +429,13 @@ REGISTRY = [
     _row("unbordered", "weighted", "unbordered_weighted", "n:int k:int", "value"),
     _row("unbordered", "palprefix3", "ternary_no_palprefix", "n:int", "value"),
     _row("listsq", "run", "list_squarefree", "lists:lists control:text", h_listsq_run),
-    _row("listsq", "random", "list_squarefree_random", "lists:lists", h_listsq_random),
+    _row("listsq", "random", "list_squarefree_random", "lists:lists --seed:int",
+         h_listsq_random),
     _row("freeband", "psi", "psi", "word", "psi"),
     _row("freeband", "equiv", "idempotent_equivalent", "x y", "yes"),
     _row("gen", "seq", "gen_sequence slp_size slp_length slp_expand strict_binary",
-         "kind:text n:int", h_gen_seq),
-    _row("gen", "run", "run_generator", "kind:text n:int", h_gen_run),
+         "kind:text n:int --strict --expand", h_gen_seq),
+    _row("gen", "run", "run_generator", "kind:text n:int --start:int-list", h_gen_run),
     _row("gen", "rho", "rho_stream", "limit:int", "list"),
     _row("superpattern", "word", "superpattern_word", "n:int", "csv", meta="length"),
     _row("superpattern", "embed", "embed_permutation", "pi:int-list", "value"),
@@ -439,8 +444,8 @@ REGISTRY = [
     _row("ring", "word", "ring_word", "n:int k:int", "bits"),
     _row("ring", "check", "is_ring_word", "word k:int", "yes"),
     _row("lfsr", "stream", "lfsr", "taps:taps", "bits"),
-    _row("lfsr", "gen", "lfsr_gen", "taps:taps", h_lfsr_gen),
-    _row("lfsr", "nth", "nth_gen_word", "taps:taps m:int", h_lfsr_nth),
+    _row("lfsr", "gen", "lfsr_gen", "taps:taps --limit:count", h_lfsr_gen),
+    _row("lfsr", "nth", "nth_gen_word", "taps:taps m:int --method:text", "bits"),
     _row("lfsr", "primitive", "is_primitive", "poly:poly", "yes"),
     _row("lfsr", "two-cycles", "debruijn_two_cycles", "poly:poly", "bit-pair"),
     _row("suffix", "tree", "suffix_tree", "word", "suffix-tree"),
@@ -452,17 +457,14 @@ REGISTRY = [
     _row("cartesian", "pd-window", "pd_window", "word:int-word i:int j:int", h_pd_window),
     _row("cartesian", "border", "ct_border", "word:int-word", "value"),
     _row("cartesian", "match", "ct_match", "pattern:int-word text:int-word", "found"),
-    _row("selftest", "run", "selftest", "", h_selftest),
+    _row("selftest", "run", "selftest", "--level:text", h_selftest),
 ]
 
 COMMANDS = {(c.area, c.verb): c for c in REGISTRY}
 
 
 def covered_operations() -> list[str]:
-    out: list[str] = []
-    for cmd in REGISTRY:
-        out.extend(cmd.ops)
-    return out
+    return [op for cmd in REGISTRY for op in cmd.ops]
 
 
 def _emit(ok: bool, value, meta, plain: bool, stream) -> None:
@@ -480,58 +482,53 @@ def _emit(ok: bool, value, meta, plain: bool, stream) -> None:
               file=stream)
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """Raise instead of printing usage to stderr and exiting."""
-        raise UsageError(message)
+def _split(cmd: Command, tokens: list[str]) -> tuple[list[str], dict]:
+    """Split the tokens after area and verb into positional arguments and the
+    row's options, parsed by kind and keyed by keyword name."""
+    args, options = [], {}
+    rest = iter(tokens)
+    for tok in rest:
+        if tok == "--":
+            args.extend(rest)  # everything after it is positional
+        elif tok == "--plain":
+            continue
+        elif tok.startswith("--"):
+            if tok not in cmd.options:
+                raise UsageError(f"{cmd.area} {cmd.verb} takes no option {tok}")
+            kind, key = cmd.options[tok], tok[2:].replace("-", "_")
+            if kind is None:
+                options[key] = True
+            elif (text := next(rest, None)) is None:
+                raise UsageError(f"{cmd.area} {cmd.verb} {tok} needs a value")
+            else:
+                try:
+                    options[key] = KINDS[kind](text)
+                except Exception as exc:
+                    raise UsageError(f"{cmd.area} {cmd.verb} {tok}: {exc}") from None
+        else:
+            args.append(tok)
+    return args, options
 
 
-def _count(text: str) -> int:
-    """The argparse type of ``--limit``: an integer >= 0."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The process's one parser, built on first use: the first construction
-    loads gettext's locale machinery, which would slow every import."""
-    parser = _Parser(prog="stringology", add_help=False)
-    parser.add_argument("area")
-    parser.add_argument("verb")
-    parser.add_argument("args", nargs="*")
-    parser.add_argument("--plain", action="store_true")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--limit", type=_count, default=None)
-    parser.add_argument("--level", choices=("fast", "full"), default=None)
-    parser.add_argument("--method", choices=("matrix", "poly"), default=None)
-    parser.add_argument("--r", type=int, default=None)
-    parser.add_argument("--start", default=None)
-    parser.add_argument("--strict", action="store_true")
-    parser.add_argument("--expand", action="store_true")
-    return parser
-
-
-def _run(opts) -> tuple:
-    """Look the command up, parse its arguments by kind, call it and shape
-    the result into (ok, value, meta)."""
-    cmd = COMMANDS.get((opts.area, opts.verb))
+def _run(tokens: list[str]) -> tuple:
+    """Look the command up from the first two tokens, parse its arguments
+    and options by kind, call it and shape the result into (ok, value, meta)."""
+    cmd = COMMANDS.get(tuple(tokens[:2]))
     if cmd is None:
-        raise UsageError(f"unknown command {opts.area} {opts.verb}")
-    if len(opts.args) != len(cmd.nargs):
+        raise UsageError(f"unknown command {' '.join(tokens[:2])}")
+    texts, options = _split(cmd, tokens[2:])
+    if len(texts) != len(cmd.nargs):
         raise UsageError(f"expected arguments: {' '.join(cmd.nargs)}")
     args, form = [], None
-    for kind, text in zip(cmd.kinds, opts.args):
+    for kind, text in zip(cmd.kinds, texts):
         value = KINDS[kind](text)
         if kind in WORD_KINDS:
             value, word_form = value
             form = form or word_form
         args.append(value)
     if callable(cmd.shape):
-        return cmd.shape(args, opts, form)
-    result = globals()[cmd.ops[0]](*args)  # looked up now, like the parsers in KINDS
+        return cmd.shape(args, form, **options)
+    result = globals()[cmd.ops[0]](*args, **options)  # looked up now, like the parsers in KINDS
     if isinstance(cmd.shape, tuple):
         ok, value = True, dict(zip(cmd.shape, result))
     else:
@@ -541,13 +538,12 @@ def _run(opts) -> tuple:
 
 def _dispatch_tokens(tokens: list[str], plain: bool, stream) -> int:
     """Run one command line and write exactly one result line."""
+    plain = plain or "--plain" in tokens
     try:
-        opts = _parser().parse_args(tokens)
-        plain = plain or opts.plain
-        ok, value, meta = _run(opts)
+        ok, value, meta = _run(tokens)
     except Exception as exc:  # every failure is one {ok: false} line, never a crash
         text = str(exc) if isinstance(exc, UsageError) else f"{type(exc).__name__}: {exc}"
-        _emit(False, text, {}, plain or "--plain" in tokens, stream)
+        _emit(False, text, {}, plain, stream)
         return 2
     _emit(ok, value, meta, plain, stream)
     return 0 if ok else 1
@@ -568,13 +564,13 @@ def main(argv: Sequence[str] | None = None) -> int:
                 _emit(False, str(exc), {}, plain, sys.stdout)
                 worst = 2
                 continue
-            rc = _dispatch_tokens(tokens + (["--plain"] if plain else []), plain, sys.stdout)
-            worst = max(worst, rc)
+            worst = max(worst, _dispatch_tokens(tokens, plain, sys.stdout))
         return worst
     if not argv or argv in (["-h"], ["--help"]):
         areas = {}
-        for c in REGISTRY:
-            areas.setdefault(c.area, []).append(c.verb)
+        for c in REGISTRY:  # each verb with the options its row declares
+            opts = [f"[{name} {kind}]" if kind else f"[{name}]" for name, kind in c.options.items()]
+            areas.setdefault(c.area, []).append(" ".join([c.verb, *opts]))
         print(__doc__)
         for area in sorted(areas):
             print(f"  {area}: {', '.join(sorted(areas[area]))}")

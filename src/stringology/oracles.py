@@ -129,13 +129,19 @@ def lcs_table(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int]]
     return alpha[::-1], beta[::-1]
 
 
+def _with_sentinel(word: Sequence[int]) -> tuple[int, ...]:
+    """word + sentinel (max + 1, or 0 for the empty word), as the suffix tree
+    appends it."""
+    return tuple(word) + ((max(word) + 1) if word else 0,)
+
+
 def suffix_tree_shape(word: Sequence[int]) -> tuple:
-    """The compacted suffix tree of word + sentinel (max + 1, or 0 for the
-    empty word) as nested tuples (edge word, suffix label or -1,
-    ((first symbol, child), ...)), children in symbol order.  The suffixes
-    below a node are grouped on their next symbol; an edge runs on while
-    its group agrees, and a group of one suffix is a leaf."""
-    text = tuple(word) + ((max(word) + 1) if word else 0,)
+    """The compacted suffix tree of word + sentinel as nested tuples (edge
+    word, suffix label or -1, ((first symbol, child), ...)), children in
+    symbol order.  The suffixes below a node are grouped on their next
+    symbol; an edge runs on while its group agrees, and a group of one
+    suffix is a leaf."""
+    text = _with_sentinel(word)
 
     def branch(starts: list[int], depth: int) -> tuple:
         groups: dict[int, list[int]] = {}
@@ -154,6 +160,19 @@ def suffix_tree_shape(word: Sequence[int]) -> tuple:
         return (text[s0 + top:s0 + depth], -1, branch(starts, depth))
 
     return ((), -1, branch(list(range(len(text))), 0))
+
+
+def dif_table(word: Sequence[int]) -> list[int]:
+    """For each position k of word + sentinel, the number of distinct
+    non-empty factors whose first occurrence starts at k."""
+    text = _with_sentinel(word)
+    seen: set[tuple[int, ...]] = set()
+    dif = []
+    for k in range(len(text)):
+        fresh = {text[k:j] for j in range(k + 1, len(text) + 1)} - seen
+        seen |= fresh
+        dif.append(len(fresh))
+    return dif
 
 
 def grasshopper_square_exists(y: Sequence[int]) -> bool:

@@ -327,19 +327,23 @@ def _ct_fast():
         assert ct_match(x, y) == ct_match_naive(x, y)
 
 
+def tree_shape(tree, v: int = 0) -> tuple:
+    """The subtree of ``v`` in the nested-tuple form of
+    ``oracles.suffix_tree_shape``: (edge word, suffix label or -1,
+    ((first symbol, child), ...)), children in symbol order."""
+    kids = tuple((s, tree_shape(tree, c)) for s, c in sorted(tree.children[v].items()))
+    return (tuple(tree.edge_word(v)), tree.suffix_label[v], kids)
+
+
 @check("suffix tree equals the suffix-grouping oracle (random, length <= 150)", "fast")
 def _suffix_tree_fast():
     from .suffixtree import suffix_tree
-
-    def shape(tree, v=0):
-        kids = tuple((s, shape(tree, c)) for s, c in sorted(tree.children[v].items()))
-        return (tuple(tree.edge_word(v)), tree.suffix_label[v], kids)
 
     rng = random.Random(97)
     for _ in range(100):
         sigma = rng.randint(1, 4)
         x = [rng.randrange(sigma) for _ in range(rng.randint(0, 150))]
-        assert shape(suffix_tree(x)) == oracles.suffix_tree_shape(x)
+        assert tree_shape(suffix_tree(x)) == oracles.suffix_tree_shape(x)
 
 
 @check("sub-table equals the factor-counting oracle (random)", "fast")
@@ -353,7 +357,7 @@ def _subtable_fast():
         x = [rng.randrange(3) for _ in range(n)]
         sub, dif = sub_table(x)
         tree = suffix_tree(x)
-        assert dif == dif_table_minleaf(tree)
+        assert dif == dif_table_marking(tree) == dif_table_minleaf(tree) == oracles.dif_table(x)
         full = x + [tree.sentinel]
         assert sub[-1] == len(all_factors(full))
         assert all(a <= b for a, b in zip(sub, sub[1:]))
@@ -661,21 +665,27 @@ class Result(NamedTuple):
     error: str | None  # "<Type>: <message>" if the check raised, else None
 
 
+LEVELS = {"fast": ("fast",), "full": ("fast", "full")}
+
+
 def results(level: str = "fast") -> Iterator[Result]:
     """Run the checks of ``level`` (full includes fast) in ``CHECKS`` order,
-    yielding each check's record as soon as it finishes."""
-    wanted = ("fast",) if level == "fast" else ("fast", "full")
-    for name, lvl, fn in CHECKS:
-        if lvl not in wanted:
-            continue
-        t0 = perf_counter()
-        try:
-            fn()
-        except Exception as exc:  # one failing check must not end the run
-            error = f"{type(exc).__name__}: {exc}"
-        else:
-            error = None
-        yield Result(name, lvl, perf_counter() - t0, error)
+    yielding each check's record as soon as it finishes.  An unknown level
+    raises ValueError here, before any check runs."""
+    if level not in LEVELS:
+        raise ValueError(f"level must be fast or full, got {level!r}")
+    return (_result(name, lvl, fn) for name, lvl, fn in CHECKS if lvl in LEVELS[level])
+
+
+def _result(name: str, level: str, fn: Callable[[], None]) -> Result:
+    t0 = perf_counter()
+    try:
+        fn()
+    except Exception as exc:  # one failing check must not end the run
+        error = f"{type(exc).__name__}: {exc}"
+    else:
+        error = None
+    return Result(name, level, perf_counter() - t0, error)
 
 
 def run(level: str = "fast", out=sys.stdout) -> int:

@@ -141,21 +141,23 @@ def wildcard_index(word: Sequence[int]) -> WildcardIndex:
     return WildcardIndex(word)
 
 
-def _descend_exact(tree: SuffixTree, node: int, offset: int, pat: Sequence[int]) -> bool:
-    """Continue an exact descent from (node, offset within incoming edge)."""
+def _descend_exact(tree: SuffixTree, node: int, offset: int,
+                   pat: Sequence[int]) -> tuple[int, int] | None:
+    """Continue an exact descent from the locus (node, symbols left on its
+    incoming edge); return the locus reached, or None if pat leaves the tree."""
     v, off = node, offset
     for c in pat:
         if off == 0:
             child = tree.children[v].get(c)
             if child is None:
-                return False
+                return None
             v = child
             off = tree.end[v] - tree.start[v] - 1
-            continue
-        if tree.text[tree.end[v] - off] != c:
-            return False
-        off -= 1
-    return True
+        elif tree.text[tree.end[v] - off] == c:
+            off -= 1
+        else:
+            return None
+    return v, off
 
 
 def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
@@ -169,33 +171,24 @@ def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
     if any(c >= tree.sentinel for c in pattern if c != HOLE):
         return False  # out-of-alphabet symbols never occur in the text
     if not holes:
-        return _descend_exact(tree, 0, 0, pattern)
+        return _descend_exact(tree, 0, 0, pattern) is not None
     h = holes[0]
-    # exact part before the hole
-    v, off = 0, 0
-    for c in pattern[:h]:
-        if off == 0:
-            child = tree.children[v].get(c)
-            if child is None:
-                return False
-            v = child
-            off = tree.end[v] - tree.start[v] - 1
-        elif tree.text[tree.end[v] - off] == c:
-            off -= 1
-        else:
-            return False
+    locus = _descend_exact(tree, 0, 0, pattern[:h])  # exact part before the hole
+    if locus is None:
+        return False
+    v, off = locus
     rest = pattern[h + 1:]
     if off > 0:
         # mid-edge: the hole must match the single next edge symbol
         sym = tree.text[tree.end[v] - off]
         if sym == tree.sentinel:
             return False
-        return _descend_exact(tree, v, off - 1, rest)
+        return _descend_exact(tree, v, off - 1, rest) is not None
     # at a node: heavy branch plus the merged light branch
     heavy_sym = index.heavy.get(v)
     if heavy_sym is not None and heavy_sym != tree.sentinel:
         child = tree.children[v][heavy_sym]
-        if _descend_exact(tree, child, tree.end[child] - tree.start[child] - 1, rest):
+        if _descend_exact(tree, child, tree.end[child] - tree.start[child] - 1, rest) is not None:
             return True
     trie = index.side.get(v)
     if trie is None:

@@ -7,7 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from stringology import selftest
 from stringology.cli import (
+    KINDS,
     REGISTRY,
+    WORD_KINDS,
     covered_operations,
     format_word,
     main,
@@ -189,7 +191,7 @@ def test_gen_seq_flags():
 
 
 def test_word_factors_with_limit():
-    rc, out = run_cli(["word", "factors", "abc", "--limit", "10"])
+    rc, out = run_cli(["word", "factors", "abc", "--list-max", "10"])
     rec = json.loads(out)
     assert rc == 0
     assert rec["value"]["count"] == 6
@@ -215,15 +217,16 @@ def test_anticover_command_lists_factors():
 def test_batch_errors_are_one_line_each_and_never_stop_the_batch():
     lines = [
         "distinguish pair 02 10",  # not binary: the library raises
-        "subs count ab --seed x",  # argparse rejects the option value
-        "subs count ab --bogus",   # argparse rejects the option
+        "listsq random abcde --seed x",  # the option's kind rejects the value
+        "subs count ab --bogus",   # the row declares no such option
+        "lcs run ab ab --limit 3",  # an option of another row
         'subs count "ab',          # shlex finds no closing quotation
         "subs count abab",
     ]
     rc, out = run_cli(["batch"], stdin="\n".join(lines) + "\n")
     recs = [json.loads(line) for line in out.splitlines()]
     assert rc == 2
-    assert [rec["ok"] for rec in recs] == [False, False, False, False, True]
+    assert [rec["ok"] for rec in recs] == [False, False, False, False, False, True]
     assert recs[-1]["value"] == 12
 
 
@@ -256,11 +259,12 @@ def test_lfsr_gen_limit_zero_lists_nothing():
     assert rc == 0 and json.loads(out)["value"] == []
 
 
-@pytest.mark.parametrize("argv", [["lfsr", "gen", "110"], ["word", "factors", "0110"]])
+@pytest.mark.parametrize("argv", [["lfsr", "gen", "110", "--limit"],
+                                  ["word", "factors", "0110", "--list-max"]])
 def test_negative_limit_is_rejected(argv):
-    rc, out = run_cli(argv + ["--limit", "-1"])
+    rc, out = run_cli(argv + ["-1"])
     rec = json.loads(out)
-    assert rc == 2 and rec["ok"] is False and "--limit" in rec["value"]
+    assert rc == 2 and rec["ok"] is False and argv[-1] in rec["value"]
 
 
 def test_gen_rho_negative_length_is_rejected():
@@ -270,8 +274,63 @@ def test_gen_rho_negative_length_is_rejected():
 
 
 def test_word_factors_limit_zero_lists_nothing():
-    rc, out = run_cli(["word", "factors", "0110", "--limit", "0"])
+    rc, out = run_cli(["word", "factors", "0110", "--list-max", "0"])
     assert rc == 0 and json.loads(out)["value"] == {"count": 8}
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcs", "run", "ab", "ab", "--limit", "3"],
+    ["word", "factors", "0110", "--limit", "3"],  # its threshold is --list-max
+    ["subs", "count", "ab", "--seed", "4", "--strict", "--method", "poly"],
+])
+def test_undeclared_option_is_rejected(argv):
+    rc, out = run_cli(argv)
+    [line] = out.splitlines()
+    rec = json.loads(line)
+    option = next(tok for tok in argv if tok.startswith("--"))
+    assert rc == 2 and rec["ok"] is False
+    assert option in rec["value"] and f"{argv[0]} {argv[1]}" in rec["value"]
+
+
+def test_double_dash_ends_the_options():
+    rc, out = run_cli(["sat", "solve", "--", "-1,2 1,2"])
+    assert rc == 0 and json.loads(out)["value"] in ("01", "11")
+    rc, out = run_cli(["lcs", "run", "--", "ab", "--limit"])
+    assert rc == 2 and "cannot parse word" in json.loads(out)["value"]
+    rc, out = run_cli(["batch", "--plain"], stdin="sat solve -- -1,2\n")
+    assert rc == 0 and out.strip() in ("00", "01", "11")
+
+
+def test_options_reach_the_library_default_when_absent():
+    rc, out = run_cli(["lfsr", "nth", "10100", "6", "--plain"])
+    assert rc == 0 and out.strip() == "00101"  # method "matrix"
+    rc, out = run_cli(["lfsr", "nth", "10100", "6", "--method", "bogus"])
+    assert rc == 2 and "method must be" in json.loads(out)["value"]
+
+
+def test_selftest_unknown_level_is_one_error_line():
+    rc, out = run_cli(["selftest", "run", "--level", "bogus"])
+    [line] = out.splitlines()
+    rec = json.loads(line)
+    assert rc == 2 and rec["ok"] is False and "bogus" in rec["value"]
+
+
+def test_option_kinds_agree_across_rows():
+    kinds = {}
+    for cmd in REGISTRY:
+        assert "--plain" not in cmd.options, f"{cmd.area} {cmd.verb}"
+        for name, kind in cmd.options.items():
+            assert kind is None or (kind in KINDS and kind not in WORD_KINDS), name
+            assert kinds.setdefault(name, kind) == kind, f"{name} has two kinds"
+
+
+def test_help_lists_each_verbs_options():
+    rc, out = run_cli(["--help"])
+    assert rc == 0
+    for cmd in REGISTRY:
+        for name in cmd.options:
+            assert name in out, f"{cmd.area} {cmd.verb} {name}"
+    assert "gen [--limit count]" in out and "seq [--strict] [--expand]" in out
 
 
 def test_hole_accepted_in_wildcard_pattern():
@@ -287,6 +346,10 @@ FUZZ_TOKENS = [
 ]
 
 
+# every option name any row declares, and two that none does
+FUZZ_OPTIONS = sorted({name for c in REGISTRY for name in c.options}) + ["--bogus", "--s"]
+
+
 @pytest.mark.parametrize("cmd", [c for c in REGISTRY if c.area != "selftest"],
                          ids=lambda c: f"{c.area}-{c.verb}")
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -294,11 +357,29 @@ FUZZ_TOKENS = [
 def test_fuzz_every_command_writes_one_json_line(cmd, data):
     count = max(0, len(cmd.nargs) + data.draw(st.sampled_from([-1, 0, 0, 1])))
     args = data.draw(st.lists(st.sampled_from(FUZZ_TOKENS), min_size=count, max_size=count))
+    names = data.draw(st.lists(st.sampled_from(FUZZ_OPTIONS), max_size=2))
+    for name in names:
+        # a value follows valued options and, now and then, a flag as well
+        if cmd.options.get(name) or data.draw(st.booleans()):
+            args += [name, data.draw(st.sampled_from(FUZZ_TOKENS))]
+        else:
+            args.append(name)
     rc, out = run_cli([cmd.area, cmd.verb, *args])
     lines = out.splitlines()
     assert len(lines) == 1
     assert set(json.loads(lines[0])) == {"ok", "value", "meta"}
     assert rc in (0, 1, 2)
+    if any(name not in cmd.options for name in names):
+        assert rc == 2
+
+
+def test_selftest_unknown_level_raises_before_any_check(monkeypatch):
+    ran = []
+    monkeypatch.setattr(selftest, "CHECKS", [("probe", "fast", lambda: ran.append(1))])
+    with pytest.raises(ValueError, match="bogus"):
+        selftest.results("bogus")
+    assert ran == []
+    assert [r.name for r in selftest.results("full")] == ["probe"] and ran == [1]
 
 
 def test_selftest_reports_every_failing_check(monkeypatch):

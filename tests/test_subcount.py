@@ -1,5 +1,6 @@
 import random
 
+from stringology import oracles
 from stringology.subcount import dif_table_marking, dif_table_minleaf, sub_table
 from stringology.suffixtree import suffix_tree
 from stringology.words import all_factors
@@ -24,6 +25,20 @@ def test_algorithms_agree_random():
         w = [rng.randrange(3) for _ in range(n)]
         t = suffix_tree(w)
         assert dif_table_marking(t) == dif_table_minleaf(t)
+
+
+def test_dif_table_matches_first_occurrence_oracle():
+    assert oracles.dif_table(letters("abaab")) == [6, 5, 3, 1, 1, 1]
+    assert oracles.dif_table([]) == [1]
+    rng = random.Random(7)
+    words = [[0] * 40, [0, 1] * 25] + [
+        [rng.randrange(rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 90))]
+        for _ in range(150)]
+    for w in words:
+        t = suffix_tree(w)
+        want = oracles.dif_table(w)
+        assert dif_table_marking(t) == want
+        assert dif_table_minleaf(t) == want
 
 
 def test_total_matches_factor_enumeration():

@@ -1,18 +1,12 @@
 import random
 
 from stringology import oracles
+from stringology.selftest import tree_shape
 from stringology.suffixtree import suffix_tree
 
 
 def letters(s):
     return [ord(c) - ord("a") for c in s]
-
-
-def canonical(tree):
-    def rec(v):
-        kids = tuple((s, rec(c)) for s, c in sorted(tree.children[v].items()))
-        return (tuple(tree.edge_word(v)), tree.suffix_label[v], kids)
-    return rec(0)
 
 
 def test_abaab_structure():
@@ -70,7 +64,7 @@ def test_tree_equals_suffix_grouping_oracle():
         sigma = rng.choice((1, 2, 3, 5))
         words.append([rng.randrange(sigma) for _ in range(n)])
     for w in words:
-        assert canonical(suffix_tree(w)) == oracles.suffix_tree_shape(w)
+        assert tree_shape(suffix_tree(w)) == oracles.suffix_tree_shape(w)
 
 
 def test_order_lists_each_node_once_parents_first():
