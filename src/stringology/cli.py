@@ -381,8 +381,13 @@ def h_pd_window(args, form):
 
 
 def h_selftest(args, form, level="fast"):
-    failures = selftest_mod.run(level=level, out=sys.stdout)
-    return failures == 0, "ok" if failures == 0 else "FAILED", {"failures": failures}
+    failed = []
+    for r in selftest_mod.results(level):
+        selftest_mod.report(r, sys.stderr)  # progress stays off the one JSON line
+        if r.error is not None:
+            failed.append(r.name)
+    ok = not failed
+    return ok, "ok" if ok else "FAILED", {"failures": len(failed), "failed": failed}
 
 
 # ------------------------------------------------------------ command table

@@ -175,6 +175,45 @@ def dif_table(word: Sequence[int]) -> list[int]:
     return dif
 
 
+def attractor_refinement(x: Sequence[int], positions: Iterable[int]) -> bool:
+    """True iff every distinct factor has an occurrence crossing one of the
+    positions.  Quadratic distinct-factor scan with rank refinement."""
+    n = len(x)
+    pos = sorted(set(positions))
+    if pos and (pos[0] < 0 or pos[-1] >= n):
+        raise ValueError("attractor position out of range")
+    if n == 0:
+        return True
+    if not pos:
+        return False
+    # next attractor position at or after i
+    nxt = [n] * (n + 1)
+    it = len(pos) - 1
+    for i in range(n - 1, -1, -1):
+        nxt[i] = nxt[i + 1]
+        if it >= 0 and pos[it] == i:
+            nxt[i] = i
+            it -= 1
+    # refine factor ranks length by length; a factor class is captured when
+    # any of its occurrences [i, i+length-1] contains an attractor position
+    rank = list(x)
+    for length in range(1, n + 1):
+        m = n - length + 1
+        groups: dict[tuple, int] = {}
+        newrank = [0] * m
+        captured: dict[int, bool] = {}
+        for i in range(m):
+            key = (rank[i], x[i + length - 1]) if length > 1 else (x[i],)
+            g = groups.setdefault(key, len(groups))
+            newrank[i] = g
+            if nxt[i] <= i + length - 1:
+                captured[g] = True
+        if len(captured) < len(groups):
+            return False
+        rank = newrank
+    return True
+
+
 def grasshopper_square_exists(y: Sequence[int]) -> bool:
     """Reachability over simultaneous walks of the two square halves."""
     n = len(y)

@@ -6,6 +6,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .rle import Run, rle_length, rle_validate
+from .suffixtree import suffix_tree
 from .twosat import TwoSatFormula, two_sat_solve
 from .words import HOLE, approx_eq, fibonacci_word, zarray
 
@@ -14,43 +15,38 @@ _ATTRACTOR_MAX = 5000
 
 def is_attractor(x: Sequence[int], positions: set[int] | Sequence[int]) -> bool:
     """True iff every distinct factor has an occurrence crossing one of the
-    positions.  Quadratic distinct-factor scan with rank refinement."""
+    positions (Kempa and Prezza, STOC 2018).
+
+    A factor is a node v of the suffix tree and a length on v's edge; its
+    occurrences start at the leaf labels below v.  The shortest factor on
+    the edge, of length depth(parent) + 1, is the hardest to capture, so Γ is
+    an attractor exactly when each non-root node whose edge does not start
+    with the sentinel has a leaf i below it with next_Γ(i) - i <=
+    depth(parent).  One bottom-up pass over ``tree.order`` carries the least
+    such gap up: O(n) after the tree build.  Negative symbols, HOLE among
+    them, are rejected by the tree."""
     n = len(x)
     if n > _ATTRACTOR_MAX:
         raise ValueError(f"is_attractor bounded at |x| <= {_ATTRACTOR_MAX}")
     pos = sorted(set(positions))
     if pos and (pos[0] < 0 or pos[-1] >= n):
         raise ValueError("attractor position out of range")
-    if n == 0:
-        return True
-    if not pos:
-        return False
-    # next attractor position at or after i
-    nxt = [n] * (n + 1)
-    it = len(pos) - 1
-    for i in range(n - 1, -1, -1):
-        nxt[i] = nxt[i + 1]
-        if it >= 0 and pos[it] == i:
-            nxt[i] = i
-            it -= 1
-    # refine factor ranks length by length; a factor class is captured when
-    # any of its occurrences [i, i+length-1] contains an attractor position
-    rank = list(x)
-    comp: dict[int, int] = {}
-    for length in range(1, n + 1):
-        m = n - length + 1
-        groups: dict[tuple, int] = {}
-        newrank = [0] * m
-        captured: dict[int, bool] = {}
-        for i in range(m):
-            key = (rank[i], x[i + length - 1]) if length > 1 else (x[i],)
-            g = groups.setdefault(key, len(groups))
-            newrank[i] = g
-            if nxt[i] <= i + length - 1:
-                captured[g] = True
-        if len(captured) < len(groups):
+    tree = suffix_tree(x)
+    far = n + 1  # beyond every string depth: no position at or after i
+    gap = [far] * (n + 1)  # gap[i] = next_Γ(i) - i for each leaf label i
+    lo = 0
+    for p in pos:
+        gap[lo:p + 1] = range(p - lo, -1, -1)
+        lo = p + 1
+    low = [gap[i] if i >= 0 else far for i in tree.suffix_label]
+    parent, depth, start, text = tree.parent, tree.depth, tree.start, tree.text
+    sentinel = tree.sentinel
+    for v in tree.order[:0:-1]:  # children before parents, the root left out
+        u, g = parent[v], low[v]
+        if g > depth[u] and text[start[v]] != sentinel:
             return False
-        rank = newrank
+        if g < low[u]:
+            low[u] = g
     return True
 
 

@@ -34,7 +34,8 @@ from .patterns import (
 )
 from .permgen import KINDS, run_generator
 from .regularities import (
-    anticover_is_valid, is_attractor, rle_shortest_cover, two_anticover,
+    anticover_is_valid, attractor_construct, is_attractor, rle_shortest_cover,
+    two_anticover,
 )
 from .rings import is_ring_word, ring_word
 from .rle import rle_decode, rle_encode
@@ -99,6 +100,41 @@ def _attractors():
         prev = len(fibonacci_word(k - 1))
         assert is_attractor(fibonacci_word(k), {prev - 2, prev - 1})
     assert not is_attractor(fibonacci_word(5), {8, 9})
+
+
+def attractor_variants(n: int, positions) -> Iterator[set[int]]:
+    """The set itself, every set that drops one of its positions and every
+    set that adds one position of 0..n-1."""
+    base = set(positions)
+    yield base
+    for p in sorted(base):
+        yield base - {p}
+    for q in range(n):
+        if q not in base:
+            yield base | {q}
+
+
+def _assert_attractor_structured(tm_orders, fib_orders):
+    """Thue-Morse and Fibonacci words with each variant of the constructed
+    attractor agree with the oracle."""
+    words = [("thue_morse", k, thue_morse(k)) for k in tm_orders]
+    words += [("fibonacci", k, fibonacci_word(k)) for k in fib_orders]
+    for family, k, w in words:
+        for s in attractor_variants(len(w), attractor_construct(family, k)):
+            assert is_attractor(w, s) == oracles.attractor_refinement(w, s), (family, k, s)
+
+
+@check("attractor suffix-tree check vs rank-refinement oracle "
+       "(random, length <= 40; Thue-Morse k <= 7, Fibonacci k <= 10)", "fast")
+def _attractor_oracle_fast():
+    rng = random.Random(101)
+    for _ in range(500):
+        sigma = rng.randint(1, 4)
+        x = [rng.randrange(sigma) for _ in range(rng.randint(0, 40))]
+        density = rng.random()
+        s = {i for i in range(len(x)) if rng.random() < density}
+        assert is_attractor(x, s) == oracles.attractor_refinement(x, s), (x, s)
+    _assert_attractor_structured(range(4, 8), range(2, 11))
 
 
 @check("2-SAT agrees with truth tables (200 formulas)", "fast")
@@ -609,6 +645,20 @@ def _rle_cover_full():
             assert rle_shortest_cover(rle_encode(w)) == oracles.naive_shortest_cover(w)
 
 
+@check("attractor suffix-tree check vs rank-refinement oracle "
+       "(Thue-Morse k = 8, Fibonacci k = 11; kernel sizes)", "full")
+def _attractor_oracle_full():
+    _assert_attractor_structured([8], [11])
+    # the benchmark's kernel words: the constructed set and its middle dropped
+    for family, k, w in [("thue_morse", 9, thue_morse(9)), ("thue_morse", 10, thue_morse(10)),
+                         ("fibonacci", 13, fibonacci_word(13)),
+                         ("fibonacci", 14, fibonacci_word(14))]:
+        pos = sorted(attractor_construct(family, k))
+        near = pos[:len(pos) // 2] + pos[len(pos) // 2 + 1:]
+        assert is_attractor(w, pos) and oracles.attractor_refinement(w, pos), (family, k)
+        assert not is_attractor(w, near) and not oracles.attractor_refinement(w, near), (family, k)
+
+
 @check("wildcard index size bound, random words to n = 2000", "full")
 def _wildcard_size_full():
     rng = random.Random(89)
@@ -688,14 +738,19 @@ def _result(name: str, level: str, fn: Callable[[], None]) -> Result:
     return Result(name, level, perf_counter() - t0, error)
 
 
+def report(r: Result, out) -> None:
+    """Print one check's pass/FAIL line."""
+    if r.error is None:
+        print(f"pass {r.name} ({r.seconds:.1f}s)", file=out)
+    else:
+        print(f"FAIL {r.name}: {r.error}", file=out)
+
+
 def run(level: str = "fast", out=sys.stdout) -> int:
     """Run the selected suites; returns the number of failures."""
     failures = 0
     for r in results(level):
-        if r.error is None:
-            print(f"pass {r.name} ({r.seconds:.1f}s)", file=out)
-        else:
-            failures += 1
-            print(f"FAIL {r.name}: {r.error}", file=out)
+        report(r, out)
+        failures += r.error is not None
     print(f"{'ok' if failures == 0 else 'FAILED'} level={level}", file=out)
     return failures

@@ -125,7 +125,7 @@ def test_criterion_1_worked_example_goldens():
     print(f"\nACCEPTANCE 1 worked-example goldens: PASS ({elapsed:.2f}s)")
 
 
-# The eight areas of criterion 2 -> the selftest checks whose sweeps cover it.
+# The nine areas of criterion 2 -> the selftest checks whose sweeps cover it.
 ORACLE_AREAS = {
     "scover": ["s-cover check vs coverage oracle (exhaustive small)",
                "s-cover check vs coverage oracle (all |y| <= 14, |x| <= 4)"],
@@ -145,6 +145,10 @@ ORACLE_AREAS = {
               "cartesian matching and sub-table oracles (10^3 words)"],
     "rle": ["rle cover vs naive cover (exhaustive length <= 13)",
             "rle cover vs naive cover (exhaustive length <= 18)"],
+    "attractor": ["attractor suffix-tree check vs rank-refinement oracle "
+                  "(random, length <= 40; Thue-Morse k <= 7, Fibonacci k <= 10)",
+                  "attractor suffix-tree check vs rank-refinement oracle "
+                  "(Thue-Morse k = 8, Fibonacci k = 11; kernel sizes)"],
 }
 
 BOUND_CHECKS = [

@@ -394,3 +394,20 @@ def test_selftest_reports_every_failing_check(monkeypatch):
     assert lines[0] == "FAIL broken: ValueError: boom"
     assert lines[1].startswith("pass fine (")
     assert lines[2] == "FAILED level=fast"
+
+
+def test_selftest_run_writes_one_json_line_per_command(monkeypatch, capsys):
+    def broken():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None),
+                                             ("broken", "fast", broken)])
+    want = {"ok": False, "value": "FAILED", "meta": {"failures": 1, "failed": ["broken"]}}
+    assert main(["selftest", "run"]) == 1
+    out, err = capsys.readouterr()
+    assert [json.loads(line) for line in out.splitlines()] == [want]
+    assert "FAIL broken: ValueError: boom" in err  # progress goes to stderr
+    monkeypatch.setattr(sys, "stdin", io.StringIO("selftest run\nselftest run --level full\n"))
+    assert main(["batch"]) == 1
+    out, _ = capsys.readouterr()
+    assert [json.loads(line) for line in out.splitlines()] == [want, want]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from stringology.oracles import (
     anticover_exists_bruteforce,
+    attractor_refinement,
     factor_search,
     hole_word_local_periods,
     naive_shortest_cover,
@@ -20,6 +22,7 @@ from stringology.regularities import (
     two_anticover,
 )
 from stringology.rle import rle_decode, rle_encode
+from stringology.selftest import attractor_variants
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
 
@@ -51,6 +54,48 @@ def test_attractor_full_positions_always_true():
 def test_attractor_position_out_of_range():
     with pytest.raises(ValueError):
         is_attractor([0, 1], {2})
+
+
+def test_attractor_empty_word_and_empty_set():
+    assert is_attractor([], set())
+    assert not is_attractor([0], set())
+    assert not is_attractor(letters("abab"), [])
+
+
+def test_attractor_rejects_holes():
+    for positions in ({1}, {0, 1, 2}, set()):
+        with pytest.raises(ValueError, match="non-negative"):
+            is_attractor([0, HOLE, 0], positions)
+
+
+def test_attractor_agrees_with_oracle_exhaustive():
+    # every binary word of length <= 7 and ternary word of length <= 5,
+    # each with every subset of its positions
+    for sigma, max_len in ((2, 7), (3, 5)):
+        for n in range(max_len + 1):
+            for w in itertools.product(range(sigma), repeat=n):
+                for mask in range(1 << n):
+                    s = [i for i in range(n) if mask >> i & 1]
+                    assert is_attractor(w, s) == attractor_refinement(w, s), (w, s)
+
+
+def test_attractor_agrees_with_oracle_structured():
+    # the constructed sets, each with one position dropped or one added
+    words = [("thue_morse", k, thue_morse(k)) for k in range(4, 9)]
+    words += [("fibonacci", k, fibonacci_word(k)) for k in range(2, 12)]
+    for family, k, w in words:
+        for s in attractor_variants(len(w), attractor_construct(family, k)):
+            assert is_attractor(w, s) == attractor_refinement(w, s), (family, k, s)
+
+
+def test_attractor_agrees_with_oracle_random():
+    rng = random.Random(7)
+    for _ in range(1000):
+        sigma = rng.randint(1, 4)
+        w = [rng.randrange(sigma) for _ in range(rng.randint(0, 40))]
+        density = rng.random()
+        s = {i for i in range(len(w)) if rng.random() < density}
+        assert is_attractor(w, s) == attractor_refinement(w, s), (w, s)
 
 
 def test_attractor_construct_values():
