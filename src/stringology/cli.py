@@ -7,8 +7,8 @@ them); `--plain` is the one global flag and `--` ends the options.
 
 Words are accepted as letter strings (a-z), digit strings, or comma-separated
 integers.  "?" stands for the don't-care symbol; only the word of
-`period local` and the pattern of `wildcard search` accept it.  Where "?" is
-an error, so is a negative symbol, except in the integer sequences of the
+`period local` and the pattern of `wildcard search` accept it.  A negative
+symbol is an error, there too, except in the integer sequences of the
 `cartesian` verbs.  Output is one JSON object per line ({ok, value, meta})
 unless --plain is given.  Exit status: 0 ok, 1 for domain-level "no"
 answers, 2 for errors.  Every error, a usage error included, is still exactly
@@ -189,6 +189,15 @@ def _word(text: str) -> tuple[list[int], WordForm]:
     return word, form
 
 
+def _hole_word(text: str) -> tuple[list[int], WordForm]:
+    """A word in which "?" is the hole; a negative literal, -1 included, is
+    an error."""
+    word, form = parse_word(text)
+    if form.kind == "csv":  # only a csv literal can spell a negative number
+        _no_negative([s for s, part in zip(word, text.split(",")) if part.strip() != "?"], text)
+    return word, form
+
+
 def _runs(text: str) -> list[tuple[int, int]]:
     runs = parse_runs(_no_hole(text))
     _no_negative([bit for bit, _ in runs], text)
@@ -210,7 +219,7 @@ def _nonneg_int(text: str) -> int:
 # kinds in WORD_KINDS return (word, WordForm).
 KINDS = {
     "word": _word,
-    "hole-word": lambda t: parse_word(t),
+    "hole-word": _hole_word,
     "int-word": lambda t: parse_word(_no_hole(t)),
     "runs": _runs,
     "lists": lambda t: [_word(p)[0] for p in t.split(",")],

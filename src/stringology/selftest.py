@@ -382,6 +382,19 @@ def _suffix_tree_fast():
         assert tree_shape(suffix_tree(x)) == oracles.suffix_tree_shape(x)
 
 
+@check("suffix-tree leaf order equals the sorted-suffix oracle (random, length <= 150)", "fast")
+def _suffix_array_fast():
+    from .suffixtree import suffix_tree
+
+    rng = random.Random(101)
+    for _ in range(100):
+        sigma = rng.randint(1, 4)
+        x = [rng.randrange(sigma) for _ in range(rng.randint(0, 150))]
+        view = suffix_tree(x).lexicographic()
+        assert (view.sa, view.lcp) == oracles.suffix_array(x)
+        assert all(view.sa[r] == s for s, r in enumerate(view.rank))
+
+
 @check("sub-table equals the factor-counting oracle (random)", "fast")
 def _subtable_fast():
     from .subcount import dif_table_marking, dif_table_minleaf

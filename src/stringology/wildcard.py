@@ -3,6 +3,17 @@
 Every internal suffix-tree node carries a side trie merging its light
 subtrees with their first letters stripped; a wildcard consumed at that node
 either follows the heavy edge or drops into the side trie.
+
+The side tries are built from the suffix tree's leaf order, the
+k-errata-trie construction of Cole, Gottlieb and Lewenstein ("Dictionary
+matching and indexing with errors and don't cares", STOC 2004).  The light
+leaves of node v are v's leaf range minus the heavy child's block, shifted by
+depth(v) + 1 and sorted by rank; neighbouring suffixes share one range
+minimum of the LCP array (a sparse table, freed after the build), and one
+stack pass turns the sorted suffixes and their LCPs into the compacted trie.
+No two suffixes are compared symbol by symbol, so the cost does not grow
+with the long shared prefixes of Thue-Morse or Fibonacci words.  The heavy-path
+argument still bounds the trie labels at O(n log n) in total.
 """
 
 from __future__ import annotations
@@ -13,60 +24,74 @@ from .suffixtree import SuffixTree, suffix_tree
 from .words import HOLE
 
 
-class _Trie:
-    """Compacted trie over spans of the host text."""
+def _range_min(values: list[int]) -> list[list[int]]:
+    """Sparse table: ``rows[k][r]`` is the least of ``values[r:r + 2**k]``."""
+    rows = [values]
+    width = 1
+    while 2 * width <= len(values):
+        prev = rows[-1]
+        rows.append(list(map(min, prev, prev[width:])))
+        width *= 2
+    return rows
 
-    def __init__(self, text: Sequence[int]):
+
+class _Trie:
+    """Compacted trie over spans of the host text, holding the suffixes
+    ``text[s:]`` for s in ``starts`` (listed in suffix-array order) and the
+    empty string when ``eps``.
+
+    One stack pass over the sorted suffixes, as a suffix tree is built from
+    a suffix array: the stack holds the path to the last leaf; pop the nodes
+    deeper than the LCP with the previous suffix, split the last popped edge
+    where the LCP ends, and hang the new leaf there.  That LCP is one range
+    minimum over the text's LCP array, ``lcp_min`` from ``_range_min``."""
+
+    def __init__(self, text: Sequence[int], eps: bool, starts: list[int],
+                 rank: list[int], lcp_min: list[list[int]]):
         self.text = text
         self.children: list[dict[int, int]] = [{}]
         self.start: list[int] = [0]
         self.end: list[int] = [0]
-        self.eps = False  # the empty string was inserted
+        self.eps = eps
+        n = len(text)
+        children, start, end = self.children, self.start, self.end
+        path, depths = [0], [0]
+        prev = -1
+        for s in starts:
+            r = rank[s]
+            lcp = 0
+            if prev >= 0:
+                k = (r - prev).bit_length() - 1
+                row = lcp_min[k]
+                a, b = row[prev], row[r - (1 << k)]
+                lcp = a if a < b else b
+            prev = r
+            while depths[-1] > lcp:
+                last = path.pop()
+                depths.pop()
+            top = path[-1]
+            if depths[-1] < lcp:  # the new leaf branches off inside last's edge
+                s0 = start[last]
+                cut = s0 + lcp - depths[-1]
+                mid = len(start)
+                children.append({text[cut]: last})
+                start.append(s0)
+                end.append(cut)
+                children[top][text[s0]] = mid
+                start[last] = cut
+                path.append(mid)
+                depths.append(lcp)
+                top = mid
+            leaf = len(start)
+            children[top][text[s + lcp]] = leaf
+            children.append({})
+            start.append(s + lcp)
+            end.append(n)
+            path.append(leaf)
+            depths.append(n - s)
 
     def node_count(self) -> int:
         return len(self.start)
-
-    def insert(self, start: int, end: int) -> None:
-        if start >= end:
-            self.eps = True
-            return
-        text = self.text
-        v = 0
-        i = start
-        while True:
-            child = self.children[v].get(text[i])
-            if child is None:
-                self.children[v][text[i]] = self._new(i, end)
-                return
-            s, e = self.start[child], self.end[child]
-            j = 0
-            while j < e - s and i + j < end and text[s + j] == text[i + j]:
-                j += 1
-            if j == e - s:
-                v = child
-                i += j
-                if i == end:
-                    return  # existing path already spells the string
-                continue
-            if i + j == end:
-                # split so the inserted string ends at a node
-                mid = self._new(s, s + j)
-                self.children[v][text[s]] = mid
-                self.start[child] = s + j
-                self.children[mid][text[s + j]] = child
-                return
-            mid = self._new(s, s + j)
-            self.children[v][text[s]] = mid
-            self.start[child] = s + j
-            self.children[mid][text[s + j]] = child
-            self.children[mid][text[i + j]] = self._new(i + j, end)
-            return
-
-    def _new(self, start: int, end: int) -> int:
-        self.children.append({})
-        self.start.append(start)
-        self.end.append(end)
-        return len(self.start) - 1
 
     def strings(self) -> set[tuple[int, ...]]:
         out: set[tuple[int, ...]] = set()
@@ -107,31 +132,30 @@ class WildcardIndex:
             raise ValueError("text must not contain holes")
         self.tree: SuffixTree = suffix_tree(word)
         tree = self.tree
-        leaf_count = [0] * len(tree.parent)
-        for v in reversed(tree.order):
-            if tree.is_leaf(v):
-                leaf_count[v] = 1
-            if v:
-                leaf_count[tree.parent[v]] += leaf_count[v]
+        sa, rank, lo, hi, lcp = tree.lexicographic()
+        lcp_min = _range_min(lcp)
         self.heavy: dict[int, int] = {}
         self.side: dict[int, _Trie] = {}
         for v in tree.order:
             kids = tree.children[v]
             if not kids:
                 continue
-            best = max(
-                sorted(kids),  # ties resolved toward the smaller edge symbol
-                key=lambda sym: leaf_count[kids[sym]],
-            )
+            size = 0
+            for sym in sorted(kids):  # ties resolved toward the smaller edge symbol
+                child = kids[sym]
+                if hi[child] - lo[child] > size:
+                    best, h, size = sym, child, hi[child] - lo[child]
             self.heavy[v] = best
-            trie = _Trie(tree.text)
-            for sym, child in kids.items():
-                if sym == best:
-                    continue
-                for label in tree.leaves_below(child):
-                    # v-to-leaf spells the suffix past depth(v); strip a letter
-                    trie.insert(label + tree.depth[v] + 1, tree.n)
-            self.side[v] = trie
+            # v-to-leaf spells the suffix past depth(v); strip a letter.  The
+            # heavy child's leaves are a block of v's leaves in suffix order.
+            shift = tree.depth[v] + 1
+            starts = [s + shift for s in sa[lo[v]:lo[h]] + sa[hi[h]:hi[v]]]
+            # the sentinel child, when light, is v's last leaf: the empty string
+            eps = bool(starts) and starts[-1] == tree.n
+            if eps:
+                starts.pop()
+            starts.sort(key=rank.__getitem__)
+            self.side[v] = _Trie(tree.text, eps, starts, rank, lcp_min)
 
     def node_count(self) -> int:
         return len(self.tree.parent) + sum(t.node_count() for t in self.side.values())
@@ -167,8 +191,10 @@ def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
         raise ValueError("at most one hole supported")
     if not pattern:
         return True
+    if min(pattern) < HOLE:  # HOLE is -1, the one negative symbol with a meaning
+        raise ValueError("pattern symbols must be non-negative or HOLE")
     tree = index.tree
-    if any(c >= tree.sentinel for c in pattern if c != HOLE):
+    if max(pattern) >= tree.sentinel:
         return False  # out-of-alphabet symbols never occur in the text
     if not holes:
         return _descend_exact(tree, 0, 0, pattern) is not None

@@ -142,6 +142,7 @@ ORACLE_AREAS = {
     "freeband": ["free band DP vs recursive quadruples (3 letters, len <= 7)",
                  "free band class counts saturate at 7 and 160"],
     "index": ["suffix tree equals the suffix-grouping oracle (random, length <= 150)",
+              "suffix-tree leaf order equals the sorted-suffix oracle (random, length <= 150)",
               "cartesian matching and sub-table oracles (10^3 words)"],
     "rle": ["rle cover vs naive cover (exhaustive length <= 13)",
             "rle cover vs naive cover (exhaustive length <= 18)"],

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -336,6 +339,35 @@ def test_help_lists_each_verbs_options():
 def test_hole_accepted_in_wildcard_pattern():
     rc, out = run_cli(["wildcard", "search", "abaab", "a?a", "--plain"])
     assert rc == 0 and out.strip() == "yes"
+
+
+@pytest.mark.parametrize("args", [
+    ["period", "local", "0,-2,0", "1"],
+    ["period", "local", "0,-1,0", "1"],  # csv -1 is HOLE's value; the hole is "?"
+    ["wildcard", "search", "0,1", "0,-2"],
+    ["wildcard", "search", "0,1", "-1,1"],
+])
+def test_hole_word_rejects_negative_literals(args):
+    rc, out = run_cli(args)
+    assert rc == 2 and len(out.splitlines()) == 1
+    rec = json.loads(out)
+    assert rec["ok"] is False and "negative" in rec["value"]
+
+
+def test_hole_word_spells_the_hole_as_a_question_mark_in_csv():
+    rc, out = run_cli(["period", "local", "0,?,0", "2", "--plain"])
+    assert rc == 0 and out.strip() == "yes"
+    rc, out = run_cli(["wildcard", "search", "0,1,0", "0,?", "--plain"])
+    assert rc == 0 and out.strip() == "yes"
+
+
+def test_module_entry_point_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "stringology", "word", "factors", "abaab"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["value"] == {"count": 11}
 
 
 # a few tokens of every argument kind, malformed ones included

@@ -3,6 +3,7 @@ import random
 from stringology import oracles
 from stringology.selftest import tree_shape
 from stringology.suffixtree import suffix_tree
+from stringology.words import fibonacci_word, thue_morse
 
 
 def letters(s):
@@ -94,3 +95,19 @@ def test_inorder_leaves_form_the_suffix_array():
                 stack.append(t.children[v][sym])
         sa = sorted(range(n + 1), key=lambda i: t.text[i:])
         assert order == sa
+
+
+def test_lexicographic_view_equals_sorted_suffix_oracle():
+    rng = random.Random(6)
+    words = [[], [0], [0] * 7, [3] * 20]
+    words += [thue_morse(k) for k in range(8)] + [fibonacci_word(k) for k in range(11)]
+    for _ in range(100):
+        sigma = rng.choice((1, 2, 3, 5))
+        words.append([rng.randrange(sigma) for _ in range(rng.randint(0, 120))])
+    for w in words:
+        t = suffix_tree(w)
+        view = t.lexicographic()
+        assert (view.sa, view.lcp) == oracles.suffix_array(w)
+        assert [view.sa[r] for r in view.rank] == list(range(t.n))
+        for v in range(len(t.parent)):
+            assert sorted(view.sa[view.lo[v]:view.hi[v]]) == sorted(t.leaves_below(v))

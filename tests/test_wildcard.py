@@ -5,7 +5,7 @@ import pytest
 
 from stringology.oracles import approx_occurs
 from stringology.wildcard import wildcard_index, wildcard_search
-from stringology.words import HOLE
+from stringology.words import HOLE, fibonacci_word, thue_morse
 
 
 def letters(s):
@@ -33,6 +33,13 @@ def test_two_holes_rejected():
     idx = wildcard_index(letters("ab"))
     with pytest.raises(ValueError):
         wildcard_search(idx, [HOLE, HOLE])
+
+
+@pytest.mark.parametrize("pattern", [[0, -2], [-2], [HOLE, -3, 1], [-5, 0, 1]])
+def test_negative_pattern_symbols_other_than_hole_rejected(pattern):
+    idx = wildcard_index(letters("abaab"))
+    with pytest.raises(ValueError):
+        wildcard_search(idx, pattern)
 
 
 def test_unary_word_side_tries_trivial():
@@ -71,21 +78,41 @@ def test_heavy_edges_unique_and_light_ancestor_bound():
             assert light_ancestors <= bound
 
 
+def assert_side_tries_match_definition(w):
+    idx = wildcard_index(w)
+    tree = idx.tree
+    for v, trie in idx.side.items():
+        want = set()
+        for sym, child in tree.children[v].items():
+            if sym == idx.heavy[v]:
+                continue
+            for label in tree.leaves_below(child):
+                want.add(tuple(tree.text[label + tree.depth[v] + 1:]))
+        assert trie.strings() == want
+
+
 def test_side_trie_strings_match_definition():
     rng = random.Random(8)
     for _ in range(40):
         n = rng.randint(1, 64)
-        w = [rng.randrange(3) for _ in range(n)]
-        idx = wildcard_index(w)
-        tree = idx.tree
-        for v, trie in idx.side.items():
-            want = set()
-            for sym, child in tree.children[v].items():
-                if sym == idx.heavy[v]:
-                    continue
-                for label in tree.leaves_below(child):
-                    want.add(tuple(tree.text[label + tree.depth[v] + 1:]))
-            assert trie.strings() == want
+        assert_side_tries_match_definition([rng.randrange(3) for _ in range(n)])
+
+
+def test_side_trie_strings_match_definition_structured():
+    for k in range(8):
+        assert_side_tries_match_definition(thue_morse(k))
+    for k in range(11):
+        assert_side_tries_match_definition(fibonacci_word(k))
+
+
+@pytest.mark.parametrize("word, count", [
+    (thue_morse(10), 9812),
+    (fibonacci_word(14), 9066),
+    (thue_morse(12), 46420),
+    (fibonacci_word(16), 26600),
+])
+def test_node_count_golden_structured(word, count):
+    assert wildcard_index(word).node_count() == count
 
 
 def test_search_matches_naive_scan():
