@@ -20,49 +20,13 @@ from __future__ import annotations
 import json
 import shlex
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Sequence
 
-from . import selftest as selftest_mod
-from .avoidance import (
-    fib_factor_test, grasshopper_cubefree_word, grasshopper_squarefree_word,
-    list_squarefree, list_squarefree_random, recover_square,
-    ternary_no_palprefix, tm_factor_test, unbordered_counts,
-    unbordered_weighted,
-)
-from .cartesian import cartesian_tree, ct_border, ct_match, parent_distance, pd_window
-from .codec import (
-    PairPartition, compress_pairs, entropy, hamming_build, hamming_correct,
-    hamming_encode, hamming_matrix, huffman_cost, pairing_partition,
-    shrink_runs,
-)
-from .freeband import idempotent_equivalent, psi
-from .gf2 import (
-    Gf2Poly, LfsrSpec, debruijn_two_cycles, is_primitive, lfsr, lfsr_gen,
-    nth_gen_word,
-)
-from .patterns import embed_permutation, shape, superpattern_word, universal_shape_word
-from .permgen import gen_sequence, rho_stream, run_generator
-from .regularities import (
-    attractor_construct, is_attractor, local_period_holds, rle_find,
-    rle_shortest_cover, two_anticover,
-)
-from .rings import is_ring_word, ring_word
-from .rle import rle_decode, rle_encode
-from .slp import slp_expand, slp_length, slp_size, strict_binary
-from .subcount import sub_table
-from .subseq import (
-    count_subsequences, distinguishing_subsequence, hard_pair, lcs,
-    longest_palindromic_subsequence, max_subs, min_sub, s_cover_check,
-    s_cover_tables, shortest_s_cover_naive,
-)
-from .suffixtree import suffix_tree
-from .twosat import TwoSatFormula, two_sat_solve
-from .wildcard import wildcard_index, wildcard_search
-from .words import (
-    HOLE, all_factors, all_subsequences, fibonacci_word, prefix_table,
-    thue_morse,
-)
+from .words import HOLE
+
+if TYPE_CHECKING:
+    from .gf2 import Gf2Poly
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -71,9 +35,17 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
 class WordForm:
-    kind: str  # "letters" | "digits" | "csv"
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind  # "letters" | "digits" | "csv"
+
+    def __eq__(self, other):
+        return isinstance(other, WordForm) and other.kind == self.kind
+
+    def __repr__(self):
+        return f"WordForm(kind={self.kind!r})"
 
 
 def parse_word(text: str) -> tuple[list[int], WordForm]:
@@ -108,6 +80,8 @@ def format_word(w: Sequence[int], form: WordForm) -> str:
 
 def parse_runs(text: str) -> list[tuple[int, int]]:
     """Run form '1:3,0:4,1:2' or a plain binary word."""
+    import stringology.rle as rle
+
     if ":" in text:
         runs = []
         for part in text.split(","):
@@ -115,11 +89,13 @@ def parse_runs(text: str) -> list[tuple[int, int]]:
             runs.append((int(bit), int(exp)))
         return runs
     word, _ = parse_word(text)
-    return rle_encode(word)
+    return rle.rle_encode(word)
 
 
 def parse_poly(text: str) -> Gf2Poly:
     """Exponent list '5,2,0' or 'x5+x2+1'."""
+    import stringology.gf2 as gf2
+
     t = text.replace(" ", "").lower()
     if t.startswith("x") or "+" in t:
         exps = []
@@ -130,8 +106,8 @@ def parse_poly(text: str) -> Gf2Poly:
                 exps.append(1)
             else:
                 exps.append(int(term.lstrip("x").lstrip("^")))
-        return Gf2Poly.from_exponents(exps)
-    return Gf2Poly.from_exponents([int(p) for p in t.split(",")])
+        return gf2.Gf2Poly.from_exponents(exps)
+    return gf2.Gf2Poly.from_exponents([int(p) for p in t.split(",")])
 
 
 def _bits(word: Sequence[int]) -> str:
@@ -147,28 +123,32 @@ def _perm_str(p: Sequence[int]) -> str:
 LETTER_FORM = WordForm("letters")
 
 
-@dataclass
 class Command:
-    area: str
-    verb: str
-    ops: tuple[str, ...]    # library functions it calls, by name in this module
-    nargs: tuple[str, ...]  # positional argument names
-    kinds: tuple[str, ...]  # how each argument is parsed: a key of KINDS
-    options: dict[str, str | None]  # "--name" -> a key of KINDS, None for a flag
-    shape: object           # a SHAPES key, field names for a tuple result, or
-                            # a handler (args, form, **options) -> (ok, value, meta)
-    meta: str = ""          # meta key that reports len(result), if any
+    """One row of the command table.
 
+    ``ops`` and ``spec`` are space-separated.  An op is ``module:function``,
+    the library function the command calls; ``selftest`` alone names the
+    module it runs.  In ``spec`` an argument is ``name`` or ``name:kind``
+    (the kind defaults to ``word``), a valued option is ``--name:kind`` and a
+    flag is ``--name``."""
 
-def _row(area: str, verb: str, ops: str, spec: str, shape, meta: str = "") -> Command:
-    """``ops`` and ``spec`` are space-separated.  In ``spec`` an argument is
-    ``name`` or ``name:kind`` (the kind defaults to ``word``), a valued
-    option is ``--name:kind`` and a flag is ``--name``."""
-    items = [item.partition(":") for item in spec.split()]
-    args = [(name, kind or "word") for name, _, kind in items if not name.startswith("--")]
-    options = {name: kind or None for name, _, kind in items if name.startswith("--")}
-    return Command(area, verb, tuple(ops.split()), tuple(n for n, _ in args),
-                   tuple(k for _, k in args), options, shape, meta)
+    __slots__ = ("area", "verb", "ops", "modules", "nargs", "kinds", "options", "shape", "meta")
+
+    def __init__(self, area: str, verb: str, ops: str, spec: str, shape, meta: str = ""):
+        items = [item.partition(":") for item in spec.split()]
+        args = [(name, kind or "word") for name, _, kind in items if not name.startswith("--")]
+        split = [op.rpartition(":") for op in ops.split()]
+        self.area, self.verb = area, verb
+        self.ops = tuple(fn for _, _, fn in split)        # function names, as tracing reads them
+        self.modules = tuple(mod for mod, _, _ in split)  # the module of each op, "" for none
+        self.nargs = tuple(n for n, _ in args)  # positional argument names
+        self.kinds = tuple(k for _, k in args)  # how each argument is parsed: a key of KINDS
+        # "--name" -> a key of KINDS, None for a flag
+        self.options = {name: kind or None for name, _, kind in items if name.startswith("--")}
+        # a SHAPES key, field names for a tuple result, or a handler
+        # (args, form, **options) -> (ok, value, meta)
+        self.shape = shape
+        self.meta = meta  # meta key that reports len(result), if any
 
 
 def _no_hole(text: str) -> str:
@@ -204,6 +184,12 @@ def _runs(text: str) -> list[tuple[int, int]]:
     return runs
 
 
+def _taps(text: str):
+    import stringology.gf2 as gf2
+
+    return gf2.LfsrSpec(tuple(_word(text)[0]))
+
+
 def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -223,7 +209,7 @@ KINDS = {
     "int-word": lambda t: parse_word(_no_hole(t)),
     "runs": _runs,
     "lists": lambda t: [_word(p)[0] for p in t.split(",")],
-    "taps": lambda t: LfsrSpec(tuple(_word(t)[0])),
+    "taps": _taps,
     "poly": lambda t: parse_poly(t),
     "int": int,
     "count": _nonneg_int,
@@ -232,6 +218,14 @@ KINDS = {
     "text": str,
 }
 WORD_KINDS = ("word", "hole-word", "int-word")
+
+
+def _code(c, form):
+    import stringology.codec as codec
+
+    return True, {"rows": ["".join(map(str, row)) for row in codec.hamming_matrix(c)],
+                  "n": c.n, "k": c.k}
+
 
 # Result shape -> (result, form) -> (ok, value); ``form`` is the WordForm of
 # the command's first word argument.  A "yes" result passes through as ok.
@@ -252,8 +246,7 @@ SHAPES = {
     "tables": lambda t, form: (False, "no-border-embedding") if t is None else (True, {
         "L": list(t.first), "R": list(t.last), "LEFT": list(t.left),
         "RIGHT": list(t.right), "P": list(t.p)}),
-    "code": lambda c, form: (True, {
-        "rows": ["".join(map(str, row)) for row in hamming_matrix(c)], "n": c.n, "k": c.k}),
+    "code": _code,
     "partition": lambda p, form: (True, {
         "left": format_word(sorted(p.left), form), "right": format_word(sorted(p.right), form)}),
     "psi": lambda q, form: (True, {
@@ -272,8 +265,11 @@ SHAPES = {
 # Commands that need a second library call, their own argument syntax (sat
 # clauses), the parsed inputs besides the result, or an option the library
 # function does not take.  The options a row declares arrive as keyword
-# arguments, and only when given.  Handlers call library functions by their
-# names in this module, so rebinding those names reaches them.
+# arguments, and only when given.  Handlers import the modules they call when
+# they run, so a command loads only its own modules, and read each function
+# off its module, so rebinding a module attribute reaches them.  On Python
+# 3.11 ``import stringology.x as x`` takes about 0.3 us a call, and
+# ``from .x import f`` about 2 us.
 
 def _listing(key, words, form, list_max):
     value = {"count": len(words)}
@@ -283,14 +279,20 @@ def _listing(key, words, form, list_max):
 
 
 def h_factors(args, form, list_max=None):
-    return _listing("factors", all_factors(*args), form, list_max)
+    import stringology.words as words
+
+    return _listing("factors", words.all_factors(*args), form, list_max)
 
 
 def h_subsequences(args, form, list_max=None):
-    return _listing("subsequences", all_subsequences(*args), form, list_max)
+    import stringology.words as words
+
+    return _listing("subsequences", words.all_subsequences(*args), form, list_max)
 
 
 def h_sat(args, form):
+    import stringology.twosat as twosat
+
     clauses = []
     maxvar = 0
     for part in args[0].split():
@@ -305,15 +307,17 @@ def h_sat(args, form):
             pair.append((abs(v) - 1, v > 0))
             maxvar = max(maxvar, abs(v))
         clauses.append((pair[0], pair[1]))
-    vals = two_sat_solve(TwoSatFormula(maxvar, tuple(clauses)))
+    vals = twosat.two_sat_solve(twosat.TwoSatFormula(maxvar, tuple(clauses)))
     if vals is None:
         return False, "UNSAT", {}
     return True, "".join("1" if v else "0" for v in vals), {}
 
 
 def h_anticover(args, form):
+    import stringology.regularities as regularities
+
     x, = args
-    cover = two_anticover(x)
+    cover = regularities.two_anticover(x)
     if cover is None:
         return False, "none", {}
     return True, [list(p) for p in cover], {
@@ -321,8 +325,10 @@ def h_anticover(args, form):
 
 
 def h_lcs(args, form):
+    import stringology.subseq as subseq
+
     u, v = args
-    a, b = lcs(u, v)
+    a, b = subseq.lcs(u, v)
     return True, {
         "length": len(a), "positions_u": a, "positions_v": b,
         "word": format_word([u[i] for i in a], form),
@@ -330,69 +336,92 @@ def h_lcs(args, form):
 
 
 def h_ham_encode(args, form, r=3):
-    return True, _bits(hamming_encode(hamming_build(r), *args)), {}
+    import stringology.codec as codec
+
+    return True, _bits(codec.hamming_encode(codec.hamming_build(r), *args)), {}
 
 
 def h_ham_correct(args, form, r=3):
-    fixed, pos = hamming_correct(hamming_build(r), *args)
+    import stringology.codec as codec
+
+    fixed, pos = codec.hamming_correct(codec.hamming_build(r), *args)
     return True, _bits(fixed), {"error_position": pos}
 
 
 def h_compress(args, form):
+    import stringology.codec as codec
+
     x, left, right = args
-    out = compress_pairs(x, PairPartition(frozenset(left), frozenset(right)))
+    out = codec.compress_pairs(x, codec.PairPartition(frozenset(left), frozenset(right)))
     return True, format_word(out, form), {"length": len(out)}
 
 
 def h_listsq_run(args, form):
+    import stringology.avoidance as avoidance
+
     lists, control = args
-    trace = list_squarefree(lists, [int(c) for c in control])
+    trace = avoidance.list_squarefree(lists, [int(c) for c in control])
     ok = len(trace.word) == len(lists)
     return ok, format_word(list(trace.word), LETTER_FORM), {
         "pushes": trace.ops.count("push"), "pops": trace.ops.count("pop")}
 
 
 def h_listsq_random(args, form, seed=None):
+    import stringology.avoidance as avoidance
+
     if seed is None:
         raise UsageError("listsq random requires --seed")
-    word, tries = list_squarefree_random(*args, seed)
+    word, tries = avoidance.list_squarefree_random(*args, seed)
     return True, format_word(word, LETTER_FORM), {"tries": tries}
 
 
 def h_gen_seq(args, form, strict=False, expand=False):
-    g = gen_sequence(*args)
-    value = {"size": slp_size(g), "length": slp_length(g)}
+    import stringology.permgen as permgen
+    import stringology.slp as slp
+
+    g = permgen.gen_sequence(*args)
+    value = {"size": slp.slp_size(g), "length": slp.slp_length(g)}
     if strict:
-        value["strict_size"] = slp_size(strict_binary(g))
+        value["strict_size"] = slp.slp_size(slp.strict_binary(g))
     if expand:
-        value["word"] = ",".join(map(str, slp_expand(g)))
+        value["word"] = ",".join(map(str, slp.slp_expand(g)))
     return True, value, {}
 
 
 def h_gen_run(args, form, start=None):
-    perms = run_generator(*args, start=start)
+    import stringology.permgen as permgen
+
+    perms = permgen.run_generator(*args, start=start)
     return True, [_perm_str(p) for p in perms], {"count": len(perms)}
 
 
 def h_lfsr_gen(args, form, limit=None):
-    return True, [_bits(w) for w in lfsr_gen(*args)[:limit]], {}
+    import stringology.gf2 as gf2
+
+    return True, [_bits(w) for w in gf2.lfsr_gen(*args)[:limit]], {}
 
 
 def h_wc_search(args, form):
+    import stringology.wildcard as wildcard
+
     text, pattern = args
-    ok = wildcard_search(wildcard_index(text), pattern)
+    ok = wildcard.wildcard_search(wildcard.wildcard_index(text), pattern)
     return ok, "yes" if ok else "no", {}
 
 
 def h_pd_window(args, form):
+    import stringology.cartesian as cartesian
+
     x, i, j = args
-    return True, pd_window(parent_distance(x), i, j), {}
+    return True, cartesian.pd_window(cartesian.parent_distance(x), i, j), {}
 
 
 def h_selftest(args, form, level="fast"):
+    import stringology.selftest as selftest
+
     failed = []
-    for r in selftest_mod.results(level):
-        selftest_mod.report(r, sys.stderr)  # progress stays off the one JSON line
+    for r in selftest.results(level):
+        selftest.report(r, sys.stderr)  # progress stays off the one JSON line
         if r.error is not None:
             failed.append(r.name)
     ok = not failed
@@ -402,79 +431,102 @@ def h_selftest(args, form, level="fast"):
 # ------------------------------------------------------------ command table
 
 REGISTRY = [
-    _row("word", "thue-morse", "thue_morse", "k:int", "letters", meta="length"),
-    _row("word", "fibonacci", "fibonacci_word", "k:int", "letters", meta="length"),
-    _row("word", "prefix-table", "prefix_table", "word", "value"),
-    _row("word", "factors", "all_factors", "word --list-max:count", h_factors),
-    _row("word", "subsequences", "all_subsequences", "word --list-max:count", h_subsequences),
-    _row("rle", "encode", "rle_encode", "word", "runs", meta="runs"),
-    _row("rle", "decode", "rle_decode", "runs:runs", "bits", meta="length"),
-    _row("rle", "shortest-cover", "rle_shortest_cover", "runs:runs", "value"),
-    _row("rle", "find", "rle_find", "pattern_runs:runs text_runs:runs", "yes"),
-    _row("scover", "check", "s_cover_check", "x y", "yes"),
-    _row("scover", "tables", "s_cover_tables", "x y", "tables"),
-    _row("scover", "shortest", "shortest_s_cover_naive", "y", "word"),
-    _row("attractor", "check", "is_attractor", "word positions:int-list", "yes"),
-    _row("attractor", "build", "attractor_construct", "family:text k:int", "sorted"),
-    _row("period", "local", "local_period_holds", "word:hole-word p:int", "yes"),
-    _row("sat", "solve", "two_sat_solve", "clauses:text", h_sat),
-    _row("anticover", "find", "two_anticover", "word", h_anticover),
-    _row("distinguish", "pair", "distinguishing_subsequence", "x y", "word"),
-    _row("distinguish", "hard-pair", "hard_pair", "n:int", "letter-pair"),
-    _row("minsub", "run", "min_sub", "word k:int", "word"),
-    _row("lcs", "run", "lcs", "u v", h_lcs),
-    _row("lps", "run", "longest_palindromic_subsequence", "word", "word"),
-    _row("subs", "count", "count_subsequences", "word", "value"),
-    _row("subs", "max", "max_subs", "n:int", "value"),
-    _row("hamming", "build", "hamming_build", "r:int", "code"),
-    _row("hamming", "encode", "hamming_encode", "word --r:int", h_ham_encode),
-    _row("hamming", "correct", "hamming_correct", "word --r:int", h_ham_correct),
-    _row("huffman", "cost", "huffman_cost", "weights:float-list", ("cost", "depths")),
-    _row("huffman", "entropy", "entropy", "weights:float-list", "value"),
-    _row("recompress", "shrink", "shrink_runs", "word", "word"),
-    _row("recompress", "partition", "pairing_partition", "word", "partition"),
-    _row("recompress", "compress", "compress_pairs", "word left right", h_compress),
-    _row("morphic", "tm-test", "tm_factor_test", "word", "yes"),
-    _row("morphic", "fib-test", "fib_factor_test", "word", "yes"),
-    _row("grasshopper", "square-free", "grasshopper_squarefree_word", "n:int", "csv"),
-    _row("grasshopper", "cube-free", "grasshopper_cubefree_word", "n:int", "letters"),
-    _row("grasshopper", "recover", "recover_square", "x z:int-list", "letters"),
-    _row("unbordered", "counts", "unbordered_counts", "n:int", ("u", "v", "t")),
-    _row("unbordered", "weighted", "unbordered_weighted", "n:int k:int", "value"),
-    _row("unbordered", "palprefix3", "ternary_no_palprefix", "n:int", "value"),
-    _row("listsq", "run", "list_squarefree", "lists:lists control:text", h_listsq_run),
-    _row("listsq", "random", "list_squarefree_random", "lists:lists --seed:int",
-         h_listsq_random),
-    _row("freeband", "psi", "psi", "word", "psi"),
-    _row("freeband", "equiv", "idempotent_equivalent", "x y", "yes"),
-    _row("gen", "seq", "gen_sequence slp_size slp_length slp_expand strict_binary",
-         "kind:text n:int --strict --expand", h_gen_seq),
-    _row("gen", "run", "run_generator", "kind:text n:int --start:int-list", h_gen_run),
-    _row("gen", "rho", "rho_stream", "limit:int", "list"),
-    _row("superpattern", "word", "superpattern_word", "n:int", "csv", meta="length"),
-    _row("superpattern", "embed", "embed_permutation", "pi:int-list", "value"),
-    _row("shape", "of", "shape", "word:int-list", "list"),
-    _row("shape", "universal", "universal_shape_word", "n:int", "csv", meta="length"),
-    _row("ring", "word", "ring_word", "n:int k:int", "bits"),
-    _row("ring", "check", "is_ring_word", "word k:int", "yes"),
-    _row("lfsr", "stream", "lfsr", "taps:taps", "bits"),
-    _row("lfsr", "gen", "lfsr_gen", "taps:taps --limit:count", h_lfsr_gen),
-    _row("lfsr", "nth", "nth_gen_word", "taps:taps m:int --method:text", "bits"),
-    _row("lfsr", "primitive", "is_primitive", "poly:poly", "yes"),
-    _row("lfsr", "two-cycles", "debruijn_two_cycles", "poly:poly", "bit-pair"),
-    _row("suffix", "tree", "suffix_tree", "word", "suffix-tree"),
-    _row("suffix", "subtable", "sub_table", "word", ("sub", "dif")),
-    _row("wildcard", "build", "wildcard_index", "word", "index"),
-    _row("wildcard", "search", "wildcard_search", "word pattern:hole-word", h_wc_search),
-    _row("cartesian", "tree", "cartesian_tree", "word:int-word", "cartesian-tree"),
-    _row("cartesian", "pd", "parent_distance", "word:int-word", "value"),
-    _row("cartesian", "pd-window", "pd_window", "word:int-word i:int j:int", h_pd_window),
-    _row("cartesian", "border", "ct_border", "word:int-word", "value"),
-    _row("cartesian", "match", "ct_match", "pattern:int-word text:int-word", "found"),
-    _row("selftest", "run", "selftest", "--level:text", h_selftest),
+    Command("word", "thue-morse", "words:thue_morse", "k:int", "letters", meta="length"),
+    Command("word", "fibonacci", "words:fibonacci_word", "k:int", "letters", meta="length"),
+    Command("word", "prefix-table", "words:prefix_table", "word", "value"),
+    Command("word", "factors", "words:all_factors", "word --list-max:count", h_factors),
+    Command("word", "subsequences", "words:all_subsequences", "word --list-max:count",
+            h_subsequences),
+    Command("rle", "encode", "rle:rle_encode", "word", "runs", meta="runs"),
+    Command("rle", "decode", "rle:rle_decode", "runs:runs", "bits", meta="length"),
+    Command("rle", "shortest-cover", "regularities:rle_shortest_cover", "runs:runs", "value"),
+    Command("rle", "find", "regularities:rle_find", "pattern_runs:runs text_runs:runs", "yes"),
+    Command("scover", "check", "subseq:s_cover_check", "x y", "yes"),
+    Command("scover", "tables", "subseq:s_cover_tables", "x y", "tables"),
+    Command("scover", "shortest", "subseq:shortest_s_cover_naive", "y", "word"),
+    Command("attractor", "check", "regularities:is_attractor", "word positions:int-list", "yes"),
+    Command("attractor", "build", "regularities:attractor_construct", "family:text k:int",
+            "sorted"),
+    Command("period", "local", "regularities:local_period_holds", "word:hole-word p:int", "yes"),
+    Command("sat", "solve", "twosat:two_sat_solve", "clauses:text", h_sat),
+    Command("anticover", "find", "regularities:two_anticover", "word", h_anticover),
+    Command("distinguish", "pair", "subseq:distinguishing_subsequence", "x y", "word"),
+    Command("distinguish", "hard-pair", "subseq:hard_pair", "n:int", "letter-pair"),
+    Command("minsub", "run", "subseq:min_sub", "word k:int", "word"),
+    Command("lcs", "run", "subseq:lcs", "u v", h_lcs),
+    Command("lps", "run", "subseq:longest_palindromic_subsequence", "word", "word"),
+    Command("subs", "count", "subseq:count_subsequences", "word", "value"),
+    Command("subs", "max", "subseq:max_subs", "n:int", "value"),
+    Command("hamming", "build", "codec:hamming_build", "r:int", "code"),
+    Command("hamming", "encode", "codec:hamming_encode", "word --r:int", h_ham_encode),
+    Command("hamming", "correct", "codec:hamming_correct", "word --r:int", h_ham_correct),
+    Command("huffman", "cost", "codec:huffman_cost", "weights:float-list", ("cost", "depths")),
+    Command("huffman", "entropy", "codec:entropy", "weights:float-list", "value"),
+    Command("recompress", "shrink", "codec:shrink_runs", "word", "word"),
+    Command("recompress", "partition", "codec:pairing_partition", "word", "partition"),
+    Command("recompress", "compress", "codec:compress_pairs", "word left right", h_compress),
+    Command("morphic", "tm-test", "avoidance:tm_factor_test", "word", "yes"),
+    Command("morphic", "fib-test", "avoidance:fib_factor_test", "word", "yes"),
+    Command("grasshopper", "square-free", "avoidance:grasshopper_squarefree_word", "n:int", "csv"),
+    Command("grasshopper", "cube-free", "avoidance:grasshopper_cubefree_word", "n:int", "letters"),
+    Command("grasshopper", "recover", "avoidance:recover_square", "x z:int-list", "letters"),
+    Command("unbordered", "counts", "avoidance:unbordered_counts", "n:int", ("u", "v", "t")),
+    Command("unbordered", "weighted", "avoidance:unbordered_weighted", "n:int k:int", "value"),
+    Command("unbordered", "palprefix3", "avoidance:ternary_no_palprefix", "n:int", "value"),
+    Command("listsq", "run", "avoidance:list_squarefree", "lists:lists control:text",
+            h_listsq_run),
+    Command("listsq", "random", "avoidance:list_squarefree_random", "lists:lists --seed:int",
+            h_listsq_random),
+    Command("freeband", "psi", "freeband:psi", "word", "psi"),
+    Command("freeband", "equiv", "freeband:idempotent_equivalent", "x y", "yes"),
+    Command("gen", "seq",
+            "permgen:gen_sequence slp:slp_size slp:slp_length slp:slp_expand slp:strict_binary",
+            "kind:text n:int --strict --expand", h_gen_seq),
+    Command("gen", "run", "permgen:run_generator", "kind:text n:int --start:int-list", h_gen_run),
+    Command("gen", "rho", "permgen:rho_stream", "limit:int", "list"),
+    Command("superpattern", "word", "patterns:superpattern_word", "n:int", "csv", meta="length"),
+    Command("superpattern", "embed", "patterns:embed_permutation", "pi:int-list", "value"),
+    Command("shape", "of", "patterns:shape", "word:int-list", "list"),
+    Command("shape", "universal", "patterns:universal_shape_word", "n:int", "csv", meta="length"),
+    Command("ring", "word", "rings:ring_word", "n:int k:int", "bits"),
+    Command("ring", "check", "rings:is_ring_word", "word k:int", "yes"),
+    Command("lfsr", "stream", "gf2:lfsr", "taps:taps", "bits"),
+    Command("lfsr", "gen", "gf2:lfsr_gen", "taps:taps --limit:count", h_lfsr_gen),
+    Command("lfsr", "nth", "gf2:nth_gen_word", "taps:taps m:int --method:text", "bits"),
+    Command("lfsr", "primitive", "gf2:is_primitive", "poly:poly", "yes"),
+    Command("lfsr", "two-cycles", "gf2:debruijn_two_cycles", "poly:poly", "bit-pair"),
+    Command("suffix", "tree", "suffixtree:suffix_tree", "word", "suffix-tree"),
+    Command("suffix", "subtable", "subcount:sub_table", "word", ("sub", "dif")),
+    Command("wildcard", "build", "wildcard:wildcard_index", "word", "index"),
+    Command("wildcard", "search", "wildcard:wildcard_search", "word pattern:hole-word",
+            h_wc_search),
+    Command("cartesian", "tree", "cartesian:cartesian_tree", "word:int-word", "cartesian-tree"),
+    Command("cartesian", "pd", "cartesian:parent_distance", "word:int-word", "value"),
+    Command("cartesian", "pd-window", "cartesian:pd_window", "word:int-word i:int j:int",
+            h_pd_window),
+    Command("cartesian", "border", "cartesian:ct_border", "word:int-word", "value"),
+    Command("cartesian", "match", "cartesian:ct_match", "pattern:int-word text:int-word", "found"),
+    Command("selftest", "run", "selftest", "--level:text", h_selftest),
 ]
 
 COMMANDS = {(c.area, c.verb): c for c in REGISTRY}
+# op name -> the library module that defines it
+OP_MODULES = {op: module for c in REGISTRY for op, module in zip(c.ops, c.modules) if module}
+
+
+def _op(module: str, name: str):
+    """Library function ``name`` of ``module``, which is imported on first
+    use.  It is read from the module on every call, so rebinding the module
+    attribute (as the benchmark tracer does) reaches every command."""
+    path = f"{__package__}.{module}"
+    return getattr(sys.modules.get(path) or import_module(path), name)
+
+
+def __getattr__(name: str):
+    """``cli.<op>`` is the function an op names, e.g. ``cli.lcs``."""
+    if name in OP_MODULES:
+        return _op(OP_MODULES[name], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def covered_operations() -> list[str]:
@@ -542,7 +594,7 @@ def _run(tokens: list[str]) -> tuple:
         args.append(value)
     if callable(cmd.shape):
         return cmd.shape(args, form, **options)
-    result = globals()[cmd.ops[0]](*args, **options)  # looked up now, like the parsers in KINDS
+    result = _op(cmd.modules[0], cmd.ops[0])(*args, **options)
     if isinstance(cmd.shape, tuple):
         ok, value = True, dict(zip(cmd.shape, result))
     else:

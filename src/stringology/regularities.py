@@ -74,6 +74,8 @@ def local_period_holds(x: Sequence[int], p: int) -> bool:
     """p is a local period of a word with holes: x[i] ~ x[i+p] everywhere."""
     if not 1 <= p <= len(x):
         raise ValueError("period out of range")
+    if min(x) < HOLE:  # HOLE is -1, the one negative symbol with a meaning
+        raise ValueError("symbols must be non-negative or HOLE")
     return all(approx_eq(x[i], x[i + p]) for i in range(len(x) - p))
 
 

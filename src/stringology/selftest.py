@@ -317,23 +317,28 @@ def _freeband_fast():
         assert idempotent_equivalent(x, x)
 
 
+def assert_side_tries_match_definition(w) -> None:
+    """Each side trie of ``wildcard_index(w)`` at node v holds exactly the
+    suffixes that start one symbol past depth(v), one per leaf below the
+    children of v other than the heavy one."""
+    idx = wildcard_index(w)
+    tree = idx.tree
+    for v, trie in idx.side.items():
+        want = set()
+        for sym, child in tree.children[v].items():
+            if sym == idx.heavy[v]:
+                continue
+            for label in tree.leaves_below(child):
+                want.add(tuple(tree.text[label + tree.depth[v] + 1:]))
+        assert trie.strings() == want, v
+
+
 @check("wildcard index: definition of side tries (words <= 64)", "fast")
 def _wildcard_def():
     rng = random.Random(47)
     for _ in range(40):
         n = rng.randint(1, 64)
-        w = [rng.randrange(2) for _ in range(n)]
-        idx = wildcard_index(w)
-        tree = idx.tree
-        for v, trie in idx.side.items():
-            heavy = idx.heavy[v]
-            want = set()
-            for sym, child in tree.children[v].items():
-                if sym == heavy:
-                    continue
-                for label in tree.leaves_below(child):
-                    want.add(tuple(tree.text[label + tree.depth[v] + 1:]))
-            assert trie.strings() == want
+        assert_side_tries_match_definition([rng.randrange(2) for _ in range(n)])
 
 
 @check("wildcard search vs naive scan (random texts)", "fast")

@@ -1,5 +1,6 @@
-"""Dual-route independence, read from the import statements: the oracles stay
-off the fast paths, and they share no code with the routes they check."""
+"""Dual-route independence, read from the import statements and from the lazy
+import tables: the oracles stay off the fast paths, and they share no code
+with the routes they check."""
 
 import ast
 from pathlib import Path
@@ -37,6 +38,25 @@ def package_sources():
     return {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
 
 
+def lazy_modules():
+    """The modules a package file imports by a name held in a table rather
+    than by an import statement: the ``module:`` prefix of each op of a
+    ``cli.REGISTRY`` row (the selftest row's op is the module itself) and the
+    modules of the package's public-name table."""
+    from stringology import cli
+
+    return {
+        "cli": {module or op for c in cli.REGISTRY for op, module in zip(c.ops, c.modules)},
+        "__init__": set(stringology._PUBLIC),
+    }
+
+
+def all_imports():
+    lazy = lazy_modules()
+    return {name: imported_modules(source) | lazy.get(name, set())
+            for name, source in package_sources().items()}
+
+
 def test_import_reader_sees_every_form():
     source = (
         "from . import oracles, lcs_fast\n"
@@ -50,11 +70,18 @@ def test_import_reader_sees_every_form():
     assert imported_modules(source) == {"oracles", "__init__", "words", "cli", "subseq", "rle"}
 
 
+def test_lazy_tables_name_real_modules():
+    lazy = lazy_modules()
+    assert {"words", "subseq", "selftest"} <= lazy["cli"]
+    library = set(package_sources()) - {"__init__", "__main__", "cli", "selftest", "oracles"}
+    assert lazy["__init__"] == library
+    assert all((PACKAGE / f"{module}.py").exists() for names in lazy.values() for module in names)
+
+
 def test_only_selftest_imports_oracles():
-    importers = {name for name, source in package_sources().items()
-                 if "oracles" in imported_modules(source)}
+    importers = {name for name, modules in all_imports().items() if "oracles" in modules}
     assert importers == {"selftest"}
 
 
 def test_oracles_import_only_words():
-    assert imported_modules(package_sources()["oracles"]) == {"words"}
+    assert all_imports()["oracles"] == {"words"}

@@ -135,6 +135,13 @@ def test_local_period_examples():
         local_period_holds(x, 0)
 
 
+def test_local_period_rejects_negative_symbols_other_than_hole():
+    for x in ([0, -2, 0], [-3, 1, -3, 1], [HOLE, -2]):
+        with pytest.raises(ValueError, match="non-negative or HOLE"):
+            local_period_holds(x, 2)
+    assert local_period_holds([0, HOLE, 0], 2)
+
+
 def test_local_periodicity_lemma_exhaustive():
     # one hole, coprime periods p + q <= |x| force local period 1
     for n in range(2, 12):

@@ -4,6 +4,7 @@ import random
 import pytest
 
 from stringology.oracles import approx_occurs
+from stringology.selftest import assert_side_tries_match_definition
 from stringology.wildcard import wildcard_index, wildcard_search
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
@@ -76,19 +77,6 @@ def test_heavy_edges_unique_and_light_ancestor_bound():
                     light_ancestors += 1
                 v = p
             assert light_ancestors <= bound
-
-
-def assert_side_tries_match_definition(w):
-    idx = wildcard_index(w)
-    tree = idx.tree
-    for v, trie in idx.side.items():
-        want = set()
-        for sym, child in tree.children[v].items():
-            if sym == idx.heavy[v]:
-                continue
-            for label in tree.leaves_below(child):
-                want.add(tuple(tree.text[label + tree.depth[v] + 1:]))
-        assert trie.strings() == want
 
 
 def test_side_trie_strings_match_definition():
