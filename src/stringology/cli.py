@@ -253,9 +253,9 @@ SHAPES = {
         "prefix": format_word(q.prefix, form), "first_new": format_word([q.first_new], form),
         "last_new": format_word([q.last_new], form), "suffix": format_word(q.suffix, form)}),
     "suffix-tree": lambda t, form: (True, {
-        "nodes": len(t.parent), "leaves": sum(t.is_leaf(v) for v in range(len(t.parent))),
+        "nodes": len(t.parent), "leaves": sum(k >= 0 for k in t.suffix_label),
         "internal_depths": sorted(
-            t.depth[v] for v in range(1, len(t.parent)) if not t.is_leaf(v))}),
+            d for d, k in zip(t.depth[1:], t.suffix_label[1:]) if k < 0)}),
     "index": lambda idx, form: (True, {"nodes": idx.node_count()}),
     "cartesian-tree": lambda t, form: (True, {"root": t.root, "left": t.left, "right": t.right}),
 }

@@ -376,6 +376,24 @@ def tree_shape(tree, v: int = 0) -> tuple:
     return (tuple(tree.edge_word(v)), tree.suffix_label[v], kids)
 
 
+def assert_tree_bookkeeping(tree) -> None:
+    """The arrays the builder fills in beside the edges: each depth is the
+    parent's plus the edge length, each leaf is labelled n - depth and no
+    other node is labelled, and ``order`` lists each node once, the root
+    first and each parent before its children."""
+    parent, depth, label = tree.parent, tree.depth, tree.suffix_label
+    assert depth[0] == 0 and label[0] == -1
+    for v in range(1, len(parent)):
+        assert depth[v] == depth[parent[v]] + tree.end[v] - tree.start[v], v
+        assert label[v] == (tree.n - depth[v] if not tree.children[v] else -1), v
+    position = [-1] * len(parent)
+    for i, v in enumerate(tree.order):
+        assert position[v] == -1, v
+        position[v] = i
+    assert tree.order[0] == 0 and len(tree.order) == len(parent)
+    assert all(position[parent[v]] < position[v] for v in tree.order[1:])
+
+
 @check("suffix tree equals the suffix-grouping oracle (random, length <= 150)", "fast")
 def _suffix_tree_fast():
     from .suffixtree import suffix_tree
@@ -384,7 +402,9 @@ def _suffix_tree_fast():
     for _ in range(100):
         sigma = rng.randint(1, 4)
         x = [rng.randrange(sigma) for _ in range(rng.randint(0, 150))]
-        assert tree_shape(suffix_tree(x)) == oracles.suffix_tree_shape(x)
+        tree = suffix_tree(x)
+        assert tree_shape(tree) == oracles.suffix_tree_shape(x)
+        assert_tree_bookkeeping(tree)
 
 
 @check("suffix-tree leaf order equals the sorted-suffix oracle (random, length <= 150)", "fast")

@@ -11,10 +11,10 @@ from .suffixtree import SuffixTree, suffix_tree
 def dif_table_marking(tree: SuffixTree) -> list[int]:
     """Walk up from each suffix leaf in order, summing unmarked edge weights."""
     n = tree.n
-    leaf_of = {}
-    for v in range(len(tree.parent)):
-        if tree.is_leaf(v):
-            leaf_of[tree.suffix_label[v]] = v
+    leaf_of = [0] * n
+    for v, k in enumerate(tree.suffix_label):
+        if k >= 0:
+            leaf_of[k] = v
     marked = [False] * len(tree.parent)
     marked[0] = True
     dif = [0] * n
@@ -33,9 +33,10 @@ def dif_table_minleaf(tree: SuffixTree) -> list[int]:
     """Charge each edge to the smallest suffix label below it."""
     n = tree.n
     min_leaf = [n] * len(tree.parent)
+    label = tree.suffix_label
     for v in reversed(tree.order):
-        if tree.is_leaf(v):
-            min_leaf[v] = tree.suffix_label[v]
+        if label[v] >= 0:
+            min_leaf[v] = label[v]
         if v:
             p = tree.parent[v]
             if min_leaf[v] < min_leaf[p]:

@@ -1,12 +1,12 @@
 """Compacted suffix trees over integer words with an appended sentinel.
 
-Construction is Ukkonen's on-line algorithm (Ukkonen, "On-line construction
-of suffix trees", Algorithmica 1995), followed by one traversal that fills
-string depths, leaf labels and ``order``.  ``oracles.suffix_tree_shape``
-builds the same tree by grouping suffixes; the tests and the selftest
-compare the two.  ``SuffixTree.lexicographic`` reads the suffix array and
-its LCP array off the tree on demand; ``oracles.suffix_array`` sorts the
-suffixes instead.
+Construction is one pass of Ukkonen's on-line algorithm (Ukkonen, "On-line
+construction of suffix trees", Algorithmica 1995) that records each node's
+string depth and leaf label as the node is made; ``order`` is the nodes
+sorted by depth.  ``oracles.suffix_tree_shape`` builds the same tree by
+grouping suffixes; the tests and the selftest compare the two.
+``SuffixTree.lexicographic`` reads the suffix array and its LCP array off
+the tree on demand; ``oracles.suffix_array`` sorts the suffixes instead.
 """
 
 from __future__ import annotations
@@ -31,36 +31,96 @@ class LexOrder(NamedTuple):
 class SuffixTree:
     """Arrays per node: parent, edge span [start, end) into text, string
     depth, children keyed by first symbol, and the suffix label on leaves
-    (-1 on the root and internal nodes).  ``order`` lists every node once,
-    the root first and each parent before its children; siblings come in
-    no particular symbol order."""
+    (-1 on the root and internal nodes), all filled in by one pass of
+    Ukkonen's loop.  ``order`` lists every node once, the root first and
+    each parent before its children; siblings come in no particular symbol
+    order."""
 
     def __init__(self, word: Sequence[int]):
         base = list(word)
         if any(s < 0 for s in base):
             raise ValueError("symbols must be non-negative")
         self.sentinel = (max(base) + 1) if base else 0
-        self.text = base + [self.sentinel]
-        self.n = len(self.text)
+        self.text = text = base + [self.sentinel]
+        self.n = n = len(text)
         self.parent: list[int] = [-1]
         self.start: list[int] = [0]
         self.end: list[int] = [0]
         self.children: list[dict[int, int]] = [{}]
-        self._build_ukkonen()
-        n, start, end = self.n, self.start, self.end
-        self.depth: list[int] = [0] * len(self.parent)
-        self.suffix_label: list[int] = [-1] * len(self.parent)
-        self.order: list[int] = [0]
-        depth, label, order = self.depth, self.suffix_label, self.order
-        for v in order:  # grows while it is read: breadth first
-            kids = self.children[v]
-            if kids:
-                d = depth[v]
-                for c in kids.values():
-                    depth[c] = d + end[c] - start[c]
-                order.extend(kids.values())
-            else:
-                label[v] = n - depth[v]
+        self.depth: list[int] = [0]
+        self.suffix_label: list[int] = [-1]
+        parent, start, end, children = self.parent, self.start, self.end, self.children
+        depth, label = self.depth, self.suffix_label
+        # Ukkonen's loop.  Leaf edges end at n from the start: the active
+        # point never reaches past the current position, so no edge is read
+        # beyond it.
+        slink = [0] * (2 * n)  # at most n leaves and n internal nodes
+        act_node, act_edge, act_len = 0, 0, 0
+        remainder = 0
+        for i, c in enumerate(text):
+            remainder += 1
+            last_internal = 0
+            while remainder:
+                if act_len == 0:
+                    act_edge = i
+                first = text[act_edge]
+                kids = children[act_node]
+                nxt = kids.get(first)
+                if nxt is None:  # a new leaf for the suffix j
+                    j = i - remainder + 1
+                    kids[first] = len(parent)
+                    parent.append(act_node)
+                    start.append(i)
+                    end.append(n)
+                    children.append({})
+                    depth.append(n - j)
+                    label.append(j)
+                    if last_internal:
+                        slink[last_internal] = act_node
+                        last_internal = 0
+                else:
+                    s = start[nxt]
+                    edge_len = end[nxt] - s
+                    if act_len >= edge_len:
+                        act_node = nxt
+                        act_edge += edge_len
+                        act_len -= edge_len
+                        continue
+                    cut = s + act_len
+                    if text[cut] == c:
+                        act_len += 1
+                        if last_internal:
+                            slink[last_internal] = act_node
+                        break
+                    # split the edge act_len symbols in; hang the leaf for j
+                    j = i - remainder + 1
+                    mid = len(parent)
+                    kids[first] = mid
+                    start[nxt] = cut
+                    parent[nxt] = mid
+                    parent.append(act_node)
+                    start.append(s)
+                    end.append(cut)
+                    children.append({text[cut]: nxt, c: mid + 1})
+                    depth.append(depth[act_node] + act_len)
+                    label.append(-1)
+                    parent.append(mid)
+                    start.append(i)
+                    end.append(n)
+                    children.append({})
+                    depth.append(n - j)
+                    label.append(j)
+                    if last_internal:
+                        slink[last_internal] = mid
+                    last_internal = mid
+                remainder -= 1
+                if act_node == 0 and act_len:
+                    act_len -= 1
+                    act_edge = i - remainder + 1
+                else:
+                    act_node = slink[act_node]
+        # a parent is strictly shallower than its children; the root has depth 0
+        self.order: list[int] = sorted(range(len(parent)), key=depth.__getitem__)
 
     def is_leaf(self, v: int) -> bool:
         return self.suffix_label[v] >= 0
@@ -112,65 +172,6 @@ class SuffixTree:
                 stack.append(~v)
                 stack.extend([kids[c] for c in sorted(kids, reverse=True)])
         return LexOrder(sa, rank, lo, hi, lcp)
-
-    def _build_ukkonen(self) -> None:
-        """Leaf edges end at n from the start: the active point never
-        reaches past the current position, so no edge is read beyond it."""
-        text, n = self.text, self.n
-        parent, start, end, children = self.parent, self.start, self.end, self.children
-
-        def new_node(p: int, s: int, e: int) -> int:
-            parent.append(p)
-            start.append(s)
-            end.append(e)
-            children.append({})
-            return len(parent) - 1
-
-        slink = {0: 0}
-        act_node, act_edge, act_len = 0, 0, 0
-        remainder = 0
-        for i, c in enumerate(text):
-            remainder += 1
-            last_internal = 0
-            while remainder:
-                if act_len == 0:
-                    act_edge = i
-                first = text[act_edge]
-                nxt = children[act_node].get(first)
-                if nxt is None:
-                    children[act_node][first] = new_node(act_node, i, n)
-                    if last_internal:
-                        slink[last_internal] = act_node
-                        last_internal = 0
-                else:
-                    s = start[nxt]
-                    edge_len = end[nxt] - s
-                    if act_len >= edge_len:
-                        act_node = nxt
-                        act_edge += edge_len
-                        act_len -= edge_len
-                        continue
-                    if text[s + act_len] == c:
-                        act_len += 1
-                        if last_internal:
-                            slink[last_internal] = act_node
-                        break
-                    # split the edge act_len symbols in
-                    mid = new_node(act_node, s, s + act_len)
-                    children[act_node][first] = mid
-                    start[nxt] = s + act_len
-                    parent[nxt] = mid
-                    children[mid][text[s + act_len]] = nxt
-                    children[mid][c] = new_node(mid, i, n)
-                    if last_internal:
-                        slink[last_internal] = mid
-                    last_internal = mid
-                remainder -= 1
-                if act_node == 0 and act_len:
-                    act_len -= 1
-                    act_edge = i - remainder + 1
-                else:
-                    act_node = slink.get(act_node, 0)
 
 
 def suffix_tree(word: Sequence[int]) -> SuffixTree:

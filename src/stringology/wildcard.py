@@ -18,7 +18,7 @@ argument still bounds the trie labels at O(n log n) in total.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .suffixtree import SuffixTree, suffix_tree
 from .words import HOLE
@@ -127,7 +127,8 @@ class _Trie:
 
 
 class WildcardIndex:
-    def __init__(self, word: Sequence[int]):
+    def __init__(self, word: Iterable[int]):
+        word = list(word)  # read once: the hole check must not use up an iterator
         if any(s == HOLE for s in word):
             raise ValueError("text must not contain holes")
         self.tree: SuffixTree = suffix_tree(word)
@@ -161,7 +162,7 @@ class WildcardIndex:
         return len(self.tree.parent) + sum(t.node_count() for t in self.side.values())
 
 
-def wildcard_index(word: Sequence[int]) -> WildcardIndex:
+def wildcard_index(word: Iterable[int]) -> WildcardIndex:
     return WildcardIndex(word)
 
 

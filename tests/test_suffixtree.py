@@ -1,7 +1,7 @@
 import random
 
 from stringology import oracles
-from stringology.selftest import tree_shape
+from stringology.selftest import assert_tree_bookkeeping, tree_shape
 from stringology.suffixtree import suffix_tree
 from stringology.words import fibonacci_word, thue_morse
 
@@ -68,16 +68,16 @@ def test_tree_equals_suffix_grouping_oracle():
         assert tree_shape(suffix_tree(w)) == oracles.suffix_tree_shape(w)
 
 
-def test_order_lists_each_node_once_parents_first():
+def test_depths_labels_and_order_are_consistent():
     rng = random.Random(5)
-    words = [[], [0] * 50] + [
-        [rng.randrange(3) for _ in range(rng.randint(1, 300))] for _ in range(20)]
+    words = [thue_morse(k) for k in range(11)] + [fibonacci_word(k) for k in range(15)]
+    words += [[0] * m for m in range(12)] + [[0] * 50, [2] * 300]
+    words += [[rng.randrange(3) for _ in range(rng.randint(1, 300))] for _ in range(20)]
+    for _ in range(40):
+        sigma = rng.choice((1, 2, 5))
+        words.append([rng.randrange(sigma) for _ in range(rng.randint(0, 400))])
     for w in words:
-        t = suffix_tree(w)
-        assert t.order[0] == 0
-        assert sorted(t.order) == list(range(len(t.parent)))
-        position = {v: i for i, v in enumerate(t.order)}
-        assert all(position[t.parent[v]] < position[v] for v in t.order[1:])
+        assert_tree_bookkeeping(suffix_tree(w))
 
 
 def test_inorder_leaves_form_the_suffix_array():

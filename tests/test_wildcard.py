@@ -147,3 +147,12 @@ def test_search_at_scale_with_planted_patterns():
 def test_text_with_holes_rejected():
     with pytest.raises(ValueError):
         wildcard_index([0, HOLE, 1])
+    with pytest.raises(ValueError):
+        wildcard_index(iter([0, HOLE, 1]))
+
+
+def test_index_over_an_iterator_sees_the_whole_word():
+    idx = wildcard_index(iter([0, 1, 0]))
+    assert idx.tree.text == [0, 1, 0, 2]
+    assert wildcard_search(idx, [0, 1])
+    assert wildcard_search(idx, [HOLE, 1, 0])
