@@ -162,19 +162,11 @@ def suffix_tree_shape(word: Sequence[int]) -> tuple:
     return ((), -1, branch(list(range(len(text))), 0))
 
 
-def suffix_array(word: Sequence[int]) -> tuple[list[int], list[int]]:
-    """(sa, lcp) of word + sentinel, the sentinel the largest symbol: the
-    suffix starts in sorted order, and for each neighbouring pair the number
-    of leading symbols they share, counted one symbol at a time."""
+def suffix_array(word: Sequence[int]) -> list[int]:
+    """The suffix starts of word + sentinel in sorted order, the sentinel
+    the largest symbol."""
     text = _with_sentinel(word)
-    sa = sorted(range(len(text)), key=lambda i: text[i:])
-    lcp = []
-    for a, b in zip(sa, sa[1:]):
-        k = 0
-        while text[a + k] == text[b + k]:
-            k += 1
-        lcp.append(k)
-    return sa, lcp
+    return sorted(range(len(text)), key=lambda i: text[i:])
 
 
 def dif_table(word: Sequence[int]) -> list[int]:

@@ -5,8 +5,9 @@ construction of suffix trees", Algorithmica 1995) that records each node's
 string depth and leaf label as the node is made; ``order`` is the nodes
 sorted by depth.  ``oracles.suffix_tree_shape`` builds the same tree by
 grouping suffixes; the tests and the selftest compare the two.
-``SuffixTree.lexicographic`` reads the suffix array and its LCP array off
-the tree on demand; ``oracles.suffix_array`` sorts the suffixes instead.
+``SuffixTree.lexicographic`` reads the suffix array, its inverse and each
+node's leaf range off the tree on demand; ``oracles.suffix_array`` sorts the
+suffixes instead.
 """
 
 from __future__ import annotations
@@ -18,14 +19,12 @@ class LexOrder(NamedTuple):
     """The leaves of a suffix tree in symbol order, the sentinel largest.
 
     ``sa[r]`` is the r-th smallest suffix of text and ``rank`` its inverse;
-    node v has the leaves ``sa[lo[v]:hi[v]]`` below it; ``lcp[r]`` is the
-    longest common prefix of suffixes ``sa[r]`` and ``sa[r + 1]``."""
+    node v has the leaves ``sa[lo[v]:hi[v]]`` below it."""
 
     sa: list[int]
     rank: list[int]
     lo: list[int]
     hi: list[int]
-    lcp: list[int]
 
 
 class SuffixTree:
@@ -125,40 +124,20 @@ class SuffixTree:
     def is_leaf(self, v: int) -> bool:
         return self.suffix_label[v] >= 0
 
-    def edge_word(self, v: int) -> list[int]:
-        return self.text[self.start[v]:self.end[v]]
-
-    def leaves_below(self, v: int) -> list[int]:
-        out = []
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            if self.is_leaf(u):
-                out.append(self.suffix_label[u])
-            stack.extend(self.children[u].values())
-        return out
-
     def lexicographic(self) -> LexOrder:
-        """One preorder visiting children in symbol order.  The LCP of two
-        neighbouring leaves is the depth of their lowest common ancestor:
-        the parent of the first node reached after the left leaf."""
-        children, label, depth, parent = self.children, self.suffix_label, self.depth, self.parent
+        """One preorder visiting children in symbol order."""
+        children, label, parent = self.children, self.suffix_label, self.parent
         lo = [0] * len(parent)
         hi = [0] * len(parent)
         sa = [0] * self.n
         rank = [0] * self.n
-        lcp = [0] * (self.n - 1)
         r = 0  # leaves visited so far
-        after_leaf = False
         stack = [0]
         while stack:
             v = stack.pop()
             if v < 0:  # every node below ~v has been visited
                 hi[~v] = r
                 continue
-            if after_leaf:
-                lcp[r - 1] = depth[parent[v]]
-                after_leaf = False
             lo[v] = r
             s = label[v]
             if s >= 0:
@@ -166,12 +145,11 @@ class SuffixTree:
                 rank[s] = r
                 r += 1
                 hi[v] = r
-                after_leaf = True
             else:
                 kids = children[v]
                 stack.append(~v)
                 stack.extend([kids[c] for c in sorted(kids, reverse=True)])
-        return LexOrder(sa, rank, lo, hi, lcp)
+        return LexOrder(sa, rank, lo, hi)
 
 
 def suffix_tree(word: Sequence[int]) -> SuffixTree:

@@ -1,7 +1,7 @@
 import random
 
 from stringology import oracles
-from stringology.selftest import assert_tree_bookkeeping, tree_shape
+from stringology.selftest import assert_tree_bookkeeping, edge_word, leaves_below, tree_shape
 from stringology.suffixtree import suffix_tree
 from stringology.words import fibonacci_word, thue_morse
 
@@ -31,7 +31,7 @@ def test_leaf_labels_are_suffix_starts():
         n = rng.randint(1, 200)
         w = [rng.randrange(3) for _ in range(n)]
         t = suffix_tree(w)
-        assert sorted(t.leaves_below(0)) == list(range(n + 1))
+        assert sorted(leaves_below(t, 0)) == list(range(n + 1))
         # every suffix is spelled by a root-to-leaf path
         for v in range(len(t.parent)):
             if not t.is_leaf(v):
@@ -43,7 +43,7 @@ def test_leaf_labels_are_suffix_starts():
                 u = t.parent[u]
             word = []
             for node in reversed(path):
-                word.extend(t.edge_word(node))
+                word.extend(edge_word(t, node))
             assert word == t.text[t.suffix_label[v]:]
 
 
@@ -107,7 +107,7 @@ def test_lexicographic_view_equals_sorted_suffix_oracle():
     for w in words:
         t = suffix_tree(w)
         view = t.lexicographic()
-        assert (view.sa, view.lcp) == oracles.suffix_array(w)
+        assert view.sa == oracles.suffix_array(w)
         assert [view.sa[r] for r in view.rank] == list(range(t.n))
         for v in range(len(t.parent)):
-            assert sorted(view.sa[view.lo[v]:view.hi[v]]) == sorted(t.leaves_below(v))
+            assert sorted(view.sa[view.lo[v]:view.hi[v]]) == sorted(leaves_below(t, v))

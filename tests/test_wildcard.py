@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 
 import pytest
 
 from stringology.oracles import approx_occurs
-from stringology.selftest import assert_side_tries_match_definition
+from stringology.selftest import assert_side_ranks_match_definition, leaves_below
 from stringology.wildcard import wildcard_index, wildcard_search
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
@@ -47,11 +48,11 @@ def test_unary_word_side_tries_trivial():
     n = 12
     idx = wildcard_index([0] * n)
     tree = idx.tree
-    for v, trie in idx.side.items():
+    for v, side in idx.side.items():
         kids = tree.children[v]
         light = [s for s in kids if s != idx.heavy[v]]
         assert light == [tree.sentinel]
-        assert trie.strings() == {()}
+        assert side == []
 
 
 def test_heavy_edges_unique_and_light_ancestor_bound():
@@ -83,24 +84,43 @@ def test_side_trie_strings_match_definition():
     rng = random.Random(8)
     for _ in range(40):
         n = rng.randint(1, 64)
-        assert_side_tries_match_definition([rng.randrange(3) for _ in range(n)])
+        assert_side_ranks_match_definition([rng.randrange(3) for _ in range(n)])
 
 
 def test_side_trie_strings_match_definition_structured():
     for k in range(8):
-        assert_side_tries_match_definition(thue_morse(k))
+        assert_side_ranks_match_definition(thue_morse(k))
     for k in range(11):
-        assert_side_tries_match_definition(fibonacci_word(k))
+        assert_side_ranks_match_definition(fibonacci_word(k))
+
+
+def side_entries_by_definition(tree) -> int:
+    """Leaves below the light children of every internal node, the heavy
+    child being the one with the most leaves (ties toward the smaller
+    symbol), less one for each light sentinel leaf: its shifted suffix is
+    empty."""
+    total = 0
+    for v in range(len(tree.parent)):
+        kids = tree.children[v]
+        if not kids:
+            continue
+        size = {sym: len(leaves_below(tree, child)) for sym, child in kids.items()}
+        heavy = min(size, key=lambda sym: (-size[sym], sym))
+        total += sum(size[sym] for sym in size if sym != heavy)
+        total -= tree.sentinel in kids and heavy != tree.sentinel
+    return total
 
 
 @pytest.mark.parametrize("word, count", [
-    (thue_morse(10), 9812),
-    (fibonacci_word(14), 9066),
-    (thue_morse(12), 46420),
-    (fibonacci_word(16), 26600),
+    (thue_morse(10), 6231),
+    (fibonacci_word(14), 5332),
+    (thue_morse(12), 29015),
+    (fibonacci_word(16), 15391),
 ])
 def test_node_count_golden_structured(word, count):
-    assert wildcard_index(word).node_count() == count
+    idx = wildcard_index(word)
+    assert idx.node_count() == count
+    assert count == len(idx.tree.parent) + side_entries_by_definition(idx.tree)
 
 
 def test_search_matches_naive_scan():
@@ -125,6 +145,20 @@ def test_node_count_bound():
         w = [rng.randrange(2) for _ in range(n)]
         idx = wildcard_index(w)
         assert idx.node_count() <= 4 * n * math.log2(n)
+
+
+def test_search_matches_naive_scan_structured():
+    # symbol 2 is outside the texts' alphabet; a trailing hole leaves no rest
+    patterns = [()]
+    for m in range(1, 6):
+        for pat in itertools.product((0, 1, 2, HOLE), repeat=m):
+            if pat.count(HOLE) <= 1:
+                patterns.append(pat)
+    words = [thue_morse(k) for k in range(9)] + [fibonacci_word(k) for k in range(12)]
+    for w in words:
+        idx = wildcard_index(w)
+        for pat in patterns:
+            assert wildcard_search(idx, pat) == approx_occurs(pat, w), (w, pat)
 
 
 def test_search_at_scale_with_planted_patterns():
