@@ -24,11 +24,20 @@ def _mu_inverse(x: Sequence[int]) -> list[int] | None:
     return out
 
 
-def tm_factor_test(x: Sequence[int]) -> bool:
-    """Is x a factor of the infinite Thue-Morse word?  Each round halves x."""
+def _binary_word(x: Sequence[int]) -> list[int]:
+    """x as a list, once it is known to be a non-empty word over {0, 1}."""
     if not x:
         raise ValueError("need a non-empty word")
-    w: list[int] | None = list(x)
+    w = list(x)
+    bad = set(w) - {0, 1}
+    if bad:
+        raise ValueError(f"need a binary word, got symbol {min(bad)}")
+    return w
+
+
+def tm_factor_test(x: Sequence[int]) -> bool:
+    """Is x a factor of the infinite Thue-Morse word?  Each round halves x."""
+    w: list[int] | None = _binary_word(x)
     while True:
         if w is None:
             return False
@@ -59,9 +68,7 @@ def _phi_inverse(x: Sequence[int]) -> list[int] | None:
 
 def fib_factor_test(x: Sequence[int]) -> bool:
     """Is x a factor of the infinite Fibonacci word (a=0, b=1)?"""
-    if not x:
-        raise ValueError("need a non-empty word")
-    w: list[int] | None = list(x)
+    w: list[int] | None = _binary_word(x)
     while True:
         if w is None:
             return False
@@ -341,7 +348,3 @@ def is_square_free(w: Sequence[int]) -> bool:
             if w[i:i + h] == w[i + h:i + 2 * h]:
                 return False
     return True
-
-
-def is_list_constrained(w: Sequence[int], lists: Sequence[Sequence[int]]) -> bool:
-    return len(w) == len(lists) and all(s in li for s, li in zip(w, lists))

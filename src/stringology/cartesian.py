@@ -71,22 +71,6 @@ def trees_equal(a: CartesianTree, b: CartesianTree) -> bool:
     return True
 
 
-def in_order(t: CartesianTree) -> list[int]:
-    out: list[int] = []
-    stack: list[tuple[int, bool]] = [(t.root, False)]
-    while stack:
-        v, expanded = stack.pop()
-        if v == -1:
-            continue
-        if expanded:
-            out.append(v)
-        else:
-            stack.append((t.right[v], False))
-            stack.append((v, True))
-            stack.append((t.left[v], False))
-    return out
-
-
 # ----------------------------------------------------------- parent distance
 
 

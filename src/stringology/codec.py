@@ -79,10 +79,6 @@ def hamming_correct(code: HammingCode, y: Sequence[int]) -> tuple[list[int], int
     return fixed, pos
 
 
-def hamming_is_codeword(code: HammingCode, y: Sequence[int]) -> bool:
-    return hamming_syndrome(code, y) == 0
-
-
 # ------------------------------------------------------------------ Huffman
 
 
@@ -214,6 +210,8 @@ def compress_pairs(x: Sequence[int], part: PairPartition) -> list[int]:
     to right without overlap; fresh ids follow first-occurrence order."""
     if not set(x) <= (part.left | part.right):
         raise ValueError("partition must cover the alphabet of x")
+    if part.left & part.right:
+        raise ValueError("partition sides must be disjoint")
     fresh = max(x, default=-1) + 1
     pair_ids: dict[tuple[int, int], int] = {}
     out: list[int] = []

@@ -1,10 +1,12 @@
 """Idempotent (free band) equivalence of words: the congruence generated by
-identifying uu with u, decided through characteristic quadruples."""
+identifying uu with u, decided through characteristic quadruples.  Its
+references are ``oracles.band_signature`` and
+``oracles.rewrite_closure_classes``."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Sequence
 
 _ALPHABET_MAX = 64
 
@@ -36,27 +38,6 @@ def psi(x: Sequence[int]) -> Quadruple:
             b, q = x[i], tuple(x[i + 1:])
             break
     return Quadruple(p, a, b, q)
-
-
-def band_signature(x: Sequence[int]) -> Hashable:
-    """Canonical class invariant by recursive quadruple decomposition."""
-    memo: dict[tuple[int, ...], Hashable] = {}
-
-    def sig(u: tuple[int, ...]) -> Hashable:
-        got = memo.get(u)
-        if got is not None:
-            return got
-        if len(set(u)) == 1:
-            memo[u] = u[0]
-            return u[0]
-        q = psi(u)
-        r = (sig(q.prefix), q.first_new, q.last_new, sig(q.suffix))
-        memo[u] = r
-        return r
-
-    if not x:
-        return ()
-    return sig(tuple(x))
 
 
 def _rank_windows(z: Sequence[int], k: int) -> tuple[list[int], list[int]]:
@@ -157,44 +138,3 @@ def idempotent_equivalent(x: Sequence[int], y: Sequence[int]) -> bool:
         for span, q in quads.items():
             ids[span] = order[q]
     return ids[span_x] == ids[span_y]
-
-
-# ----------------------------------------------------------------- oracles
-
-
-def rewrite_closure_classes(alphabet: int, cap: int) -> dict[tuple[int, ...], int]:
-    """Connected components of the square-rewriting graph over all non-empty
-    words up to length cap.
-
-    Every duplication edge is a square deletion seen from the longer word, so
-    enumerating deletions covers the whole graph.  Words equivalent through
-    intermediates longer than cap may end up in separate components; the
-    cross-check against the quadruple oracle confirms the cap is adequate.
-    """
-    words: list[tuple[int, ...]] = []
-    for n in range(1, cap + 1):
-        level = [()]
-        for _ in range(n):
-            level = [w + (c,) for w in level for c in range(alphabet)]
-        words.extend(level)
-    index = {w: i for i, w in enumerate(words)}
-    parent = list(range(len(words)))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for w, wi in index.items():
-        L = len(w)
-        for i in range(L):
-            for h in range(1, (L - i) // 2 + 1):
-                if w[i:i + h] == w[i + h:i + 2 * h]:
-                    union(wi, index[w[:i + h] + w[i + 2 * h:]])
-    return {w: find(i) for w, i in index.items()}

@@ -1,12 +1,18 @@
-"""Brute-force reference implementations used to cross-check the fast paths.
+"""Brute-force reference routes used to cross-check the fast paths.
 
-Everything here favours obviousness over speed and is shared by the test
-suite and the built-in selftest command.
+This is the one home of the reference routes: each favours obviousness over
+speed, and the module imports only ``words``.  Certificate checkers, which
+verify a result rather than compute one, stay beside their route.  Six
+routes still sit beside their production code because the benchmark's line
+generator uses them there: ``subseq.s_cover_positions_naive``,
+``s_cover_check_naive`` and ``shortest_s_cover_naive``, and
+``cartesian.cartesian_tree_recursive``, ``trees_equal`` and
+``ct_match_naive``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Hashable, Iterable, Sequence
 
 from .words import SizeLimitError, all_subsequences, approx_eq
 
@@ -304,3 +310,136 @@ def approx_occurs(pattern: Sequence[int], text: Sequence[int]) -> bool:
         if all(approx_eq(pattern[j], text[i + j]) for j in range(m)):
             return True
     return False
+
+
+def brute_force_sat(f) -> list[bool] | None:
+    """Truth-table oracle for a ``twosat.TwoSatFormula``; exponential, for
+    cross-checking only."""
+    for mask in range(1 << f.num_vars):
+        vals = [(mask >> i) & 1 == 1 for i in range(f.num_vars)]
+        if all(
+            (vals[v1] == p1) or (vals[v2] == p2)
+            for ((v1, p1), (v2, p2)) in f.clauses
+        ):
+            return vals
+    return None
+
+
+def shortest_distinguisher_length(x: Sequence[int], y: Sequence[int],
+                                  alphabet: Sequence[int] = (0, 1)) -> int:
+    """BFS over the product of subsequence automata; exact oracle."""
+    def next_table(w):
+        n = len(w)
+        nxt = {c: [n] * (n + 1) for c in alphabet}
+        for i in range(n - 1, -1, -1):
+            for c in alphabet:
+                nxt[c][i] = nxt[c][i + 1]
+            nxt[w[i]][i] = i
+        return nxt
+
+    nx_, ny_ = next_table(x), next_table(y)
+    dead_x, dead_y = len(x), len(y)
+    start = (0, 0)
+    seen = {start}
+    frontier = [start]
+    depth = 0
+    while frontier:
+        depth += 1
+        nxt_frontier = []
+        for (i, j) in frontier:
+            for c in alphabet:
+                ii = nx_[c][i] + 1 if nx_[c][i] < dead_x else None
+                jj = ny_[c][j] + 1 if ny_[c][j] < dead_y else None
+                if (ii is None) != (jj is None):
+                    return depth
+                if ii is None:
+                    continue
+                st = (ii, jj)
+                if st not in seen:
+                    seen.add(st)
+                    nxt_frontier.append(st)
+        frontier = nxt_frontier
+    raise ValueError("words are equivalent as subsequence sets")
+
+
+def _quadruple(u: tuple[int, ...]) -> tuple[tuple[int, ...], int, int, tuple[int, ...]]:
+    """(p, a, b, q): pa is the shortest prefix and bq the shortest suffix of u
+    using every letter of u."""
+    full = set(u)
+    i = next(i for i in range(1, len(u) + 1) if set(u[:i]) == full)
+    j = next(j for j in range(len(u) - 1, -1, -1) if set(u[j:]) == full)
+    return u[:i - 1], u[i - 1], u[j], u[j + 1:]
+
+
+def band_signature(x: Sequence[int]) -> Hashable:
+    """Canonical class invariant by recursive quadruple decomposition."""
+    memo: dict[tuple[int, ...], Hashable] = {}
+
+    def sig(u: tuple[int, ...]) -> Hashable:
+        got = memo.get(u)
+        if got is not None:
+            return got
+        if len(set(u)) == 1:
+            memo[u] = u[0]
+            return u[0]
+        p, a, b, q = _quadruple(u)
+        r = (sig(p), a, b, sig(q))
+        memo[u] = r
+        return r
+
+    if not x:
+        return ()
+    return sig(tuple(x))
+
+
+def rewrite_closure_classes(alphabet: int, cap: int) -> dict[tuple[int, ...], int]:
+    """Connected components of the square-rewriting graph over all non-empty
+    words up to length cap.
+
+    Every duplication edge is a square deletion seen from the longer word, so
+    enumerating deletions covers the whole graph.  Words equivalent through
+    intermediates longer than cap may end up in separate components; the
+    cross-check against the quadruple oracle confirms the cap is adequate.
+    """
+    words: list[tuple[int, ...]] = []
+    for n in range(1, cap + 1):
+        level = [()]
+        for _ in range(n):
+            level = [w + (c,) for w in level for c in range(alphabet)]
+        words.extend(level)
+    index = {w: i for i, w in enumerate(words)}
+    parent = list(range(len(words)))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a: int, b: int) -> None:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[rb] = ra
+
+    for w, wi in index.items():
+        L = len(w)
+        for i in range(L):
+            for h in range(1, (L - i) // 2 + 1):
+                if w[i:i + h] == w[i + h:i + 2 * h]:
+                    union(wi, index[w[:i + h] + w[i + 2 * h:]])
+    return {w: find(i) for w, i in index.items()}
+
+
+def knuth_next(perm: list) -> tuple[list, int] | None:
+    """Semantic single step: rotate the shortest non-descending prefix, or
+    None at the final permutation."""
+    n = len(perm)
+    desc = list(range(n, 0, -1))
+    k = 1
+    while k <= n and perm[:k] == desc[:k]:
+        k += 1
+    if k > n:
+        k = n
+    if k == n:
+        return None
+    return perm[k:] + perm[:k][::-1], k

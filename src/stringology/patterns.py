@@ -98,7 +98,7 @@ def is_universal_shape_word(w: Sequence[int], n: int) -> bool:
     return len(shapes) == math.factorial(n) and len(set(shapes)) == len(shapes)
 
 
-def _shape_graph_euler(n: int) -> list[int]:
+def shape_graph_euler_labels(n: int) -> list[int]:
     """Labels of an Euler cycle over the graph whose nodes are the
     (n-1)-permutations and whose edges append one of n relative ranks."""
     start = tuple(range(1, n))
@@ -147,12 +147,8 @@ def universal_shape_word(n: int) -> list[int]:
     n-permutation shape exactly once."""
     if not 2 <= n <= 7:
         raise ValueError("need 2 <= n <= 7")
-    labels = _shape_graph_euler(n)
+    labels = shape_graph_euler_labels(n)
     alpha = list(range(1, n))
     for k in labels:
         alpha = extend_universal(alpha, k, n)
     return alpha
-
-
-def shape_graph_euler_labels(n: int) -> list[int]:
-    return _shape_graph_euler(n)

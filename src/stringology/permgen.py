@@ -285,21 +285,6 @@ def run_generator(kind: str, n: int, start: Sequence | None = None) -> list[tupl
     return out
 
 
-def knuth_next(perm: list) -> tuple[list, int] | None:
-    """Semantic single step: rotate the shortest non-descending prefix, or
-    None at the final permutation."""
-    n = len(perm)
-    desc = list(range(n, 0, -1))
-    k = 1
-    while k <= n and perm[:k] == desc[:k]:
-        k += 1
-    if k > n:
-        k = n
-    if k == n:
-        return None
-    return perm[k:] + perm[:k][::-1], k
-
-
 def rho_stream(limit: int) -> Iterator[int]:
     """Factorial ruler sequence: rho_k = max j with j! dividing k."""
     if limit > 10 ** 7:

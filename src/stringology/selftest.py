@@ -1,9 +1,9 @@
 """Headless property suites: every check prints one pass/fail line.
 
 The fast level re-verifies the worked examples and small oracle sweeps; the
-full level runs the exhaustive cross-checks.  ``CHECKS`` is the one home of
-every oracle sweep: ``results`` runs a level's checks and yields one record
-each, and ``run`` prints those records.
+full level runs the exhaustive cross-checks.  ``CHECKS`` is where each
+sweep the acceptance test relies on is written, once: ``results`` runs a
+level's checks and yields one record each, and ``run`` prints those records.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .codec import (
     compress_pairs, entropy, hamming_build, hamming_correct, hamming_encode,
     huffman_cost, kraft_sum, pairing_partition,
 )
-from .freeband import band_signature, idempotent_equivalent
+from .freeband import idempotent_equivalent
 from .gf2 import Gf2Poly, LfsrSpec, debruijn_two_cycles, is_primitive, lfsr_gen
 from .patterns import (
     embed_permutation, greedy_embedding, is_universal_shape_word, jumps_total,
@@ -43,9 +43,8 @@ from .subcount import sub_table
 from .subseq import (
     count_subsequences, distinguishing_subsequence, hard_pair, lcs, max_subs,
     min_sub, s_cover_check, s_cover_check_naive,
-    shortest_distinguisher_length,
 )
-from .twosat import TwoSatFormula, brute_force_sat, check_assignment, two_sat_solve
+from .twosat import TwoSatFormula, check_assignment, two_sat_solve
 from .wildcard import wildcard_index, wildcard_search
 from .words import (
     all_factors, all_subsequences, bar, fibonacci_word, is_subsequence,
@@ -149,7 +148,7 @@ def _twosat():
         )
         f = TwoSatFormula(nv, clauses)
         got = two_sat_solve(f)
-        want = brute_force_sat(f)
+        want = oracles.brute_force_sat(f)
         assert (got is None) == (want is None)
         if got is not None:
             assert check_assignment(f, got)
@@ -535,7 +534,7 @@ def _distinguish_fast():
                 assert is_subsequence(z, x) != is_subsequence(z, y)
     for n in range(2, 13):
         x, y = hard_pair(n)
-        assert shortest_distinguisher_length(x, y) == (n + 2) // 2
+        assert oracles.shortest_distinguisher_length(x, y) == (n + 2) // 2
 
 
 @check("factor tests vs direct scans (length <= 11)", "fast")
@@ -648,7 +647,7 @@ def _freeband_full():
     words: list[tuple[int, ...]] = []
     for n in range(1, 8):
         words.extend(itertools.product(range(3), repeat=n))
-    sigs = {w: band_signature(w) for w in words}
+    sigs = {w: oracles.band_signature(w) for w in words}
     rng = random.Random(79)
     by_sig: dict = {}
     for w, s in sigs.items():
@@ -675,7 +674,7 @@ def _freeband_counts():
         seen = set()
         for n in range(1, max_len + 1):
             for w in itertools.product(range(letters), repeat=n):
-                seen.add(band_signature(w))
+                seen.add(oracles.band_signature(w))
         assert len(seen) + 1 == want  # plus the empty word
 
 

@@ -190,10 +190,3 @@ def strict_binary(g: Slp) -> Slp:
     finally:
         sys.setrecursionlimit(old)
     return b.build(start)
-
-
-def slp_from_word(x: Sequence[int]) -> Slp:
-    """Trivial grammar for a concrete word (testing helper)."""
-    b = SlpBuilder()
-    node = b.concat_all([b.term(s) for s in x])
-    return b.build(node)

@@ -1,5 +1,8 @@
 """Subsequence algorithms: s-covers, short distinguishers, lexicographically
-minimal subsequences, palindromic subsequences, and subsequence counting."""
+minimal subsequences, palindromic subsequences, and subsequence counting.
+
+The distinguisher reference is ``oracles.shortest_distinguisher_length``; the
+naive s-cover routes stay here while the benchmark reads them."""
 
 from __future__ import annotations
 
@@ -185,43 +188,6 @@ def hard_pair(n: int) -> tuple[list[int], list[int]]:
     if n % 2:
         x, y = x + [0], y + [0]
     return x, y
-
-
-def shortest_distinguisher_length(x: Sequence[int], y: Sequence[int],
-                                  alphabet: Sequence[int] = (0, 1)) -> int:
-    """BFS over the product of subsequence automata; exact oracle."""
-    def next_table(w):
-        n = len(w)
-        nxt = {c: [n] * (n + 1) for c in alphabet}
-        for i in range(n - 1, -1, -1):
-            for c in alphabet:
-                nxt[c][i] = nxt[c][i + 1]
-            nxt[w[i]][i] = i
-        return nxt
-
-    nx_, ny_ = next_table(x), next_table(y)
-    dead_x, dead_y = len(x), len(y)
-    start = (0, 0)
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt_frontier = []
-        for (i, j) in frontier:
-            for c in alphabet:
-                ii = nx_[c][i] + 1 if nx_[c][i] < dead_x else None
-                jj = ny_[c][j] + 1 if ny_[c][j] < dead_y else None
-                if (ii is None) != (jj is None):
-                    return depth
-                if ii is None:
-                    continue
-                st = (ii, jj)
-                if st not in seen:
-                    seen.add(st)
-                    nxt_frontier.append(st)
-        frontier = nxt_frontier
-    raise ValueError("words are equivalent as subsequence sets")
 
 
 # ------------------------------------------------------------------ MinSub

@@ -1,4 +1,5 @@
-"""2-CNF satisfiability via strongly connected components of the implication graph."""
+"""2-CNF satisfiability via strongly connected components of the implication
+graph; ``oracles.brute_force_sat`` is its truth-table reference."""
 
 from __future__ import annotations
 
@@ -93,18 +94,6 @@ def two_sat_solve(f: TwoSatFormula) -> list[bool] | None:
         # smaller id lies later on every implication chain and is safe to set.
         assignment.append(pos < neg)
     return assignment
-
-
-def brute_force_sat(f: TwoSatFormula) -> list[bool] | None:
-    """Truth-table oracle; exponential, for cross-checking only."""
-    for mask in range(1 << f.num_vars):
-        vals = [(mask >> i) & 1 == 1 for i in range(f.num_vars)]
-        if all(
-            (vals[v1] == p1) or (vals[v2] == p2)
-            for ((v1, p1), (v2, p2)) in f.clauses
-        ):
-            return vals
-    return None
 
 
 def check_assignment(f: TwoSatFormula, vals: Sequence[bool]) -> bool:

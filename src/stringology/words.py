@@ -7,7 +7,7 @@ collide with a real symbol.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 HOLE = -1
 
@@ -19,17 +19,6 @@ _SUBSEQ_MAX = 24
 
 class SizeLimitError(ValueError):
     """Raised when an argument would produce an output beyond desk scale."""
-
-
-def as_word(symbols: Iterable[int], alphabet_bound: int | None = None) -> list[int]:
-    """Validate and copy a word; symbols must be non-negative (HOLE allowed)."""
-    w = list(symbols)
-    for s in w:
-        if s != HOLE and s < 0:
-            raise ValueError(f"bad symbol {s}")
-        if alphabet_bound is not None and s >= alphabet_bound:
-            raise ValueError(f"symbol {s} outside alphabet bound {alphabet_bound}")
-    return w
 
 
 def bar(x: Sequence[int]) -> list[int]:

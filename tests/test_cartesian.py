@@ -8,7 +8,6 @@ from stringology.cartesian import (
     ct_border,
     ct_match,
     ct_match_naive,
-    in_order,
     parent_distance,
     pd_window,
     trees_equal,
@@ -38,6 +37,11 @@ def test_matches_recursive_oracle():
     for _ in range(300):
         x = [rng.randrange(8) for _ in range(rng.randint(0, 60))]
         assert trees_equal(cartesian_tree(x), cartesian_tree_recursive(x))
+
+
+def in_order(t, v=None):
+    v = t.root if v is None else v
+    return [] if v == -1 else in_order(t, t.left[v]) + [v] + in_order(t, t.right[v])
 
 
 def test_inorder_and_operation_counter():

@@ -107,6 +107,10 @@ def test_usage_errors_exit_2():
     assert rc == 2
     rc, _ = run_cli(["word", "thue-morse", "99"])  # size limit
     assert rc == 2
+    rc, _ = run_cli(["morphic", "tm-test", "012"])  # not a binary word
+    assert rc == 2
+    rc, _ = run_cli(["recompress", "compress", "abab", "ab", "ab"])  # sides overlap
+    assert rc == 2
 
 
 def test_randomized_commands_require_seed():

@@ -85,3 +85,32 @@ def test_only_selftest_imports_oracles():
 
 def test_oracles_import_only_words():
     assert all_imports()["oracles"] == {"words"}
+
+
+def defined_names(source):
+    """The names a source binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+    return names
+
+
+def test_defined_name_reader_sees_every_form():
+    source = "import math\nA, (B, C) = D = 1, (2, 3)\nE: int = 4\ndef f(): g = 5\nclass K: pass\n"
+    assert defined_names(source) == {"A", "B", "C", "D", "E", "f", "K"}
+
+
+def test_no_module_redefines_an_oracle():
+    sources = package_sources()
+    oracle_names = defined_names(sources.pop("oracles"))
+    clashes = {name: defined_names(source) & oracle_names for name, source in sources.items()}
+    assert {name: found for name, found in clashes.items() if found} == {}
+
+
+def test_package_exports_no_oracle():
+    oracle_names = defined_names(package_sources()["oracles"])
+    assert oracle_names & set(stringology._MODULE_OF) == set()

@@ -9,10 +9,10 @@ from stringology.permgen import (
     gen_sequence,
     heap_op,
     heap_op_decode,
-    knuth_next,
     rho_stream,
     run_generator,
 )
+from stringology.oracles import knuth_next
 from stringology.slp import slp_expand, slp_length
 from stringology.words import SizeLimitError
 

@@ -22,7 +22,6 @@ from stringology.regularities import (
     two_anticover,
 )
 from stringology.rle import rle_decode, rle_encode
-from stringology.selftest import attractor_variants
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
 
@@ -77,15 +76,6 @@ def test_attractor_agrees_with_oracle_exhaustive():
                 for mask in range(1 << n):
                     s = [i for i in range(n) if mask >> i & 1]
                     assert is_attractor(w, s) == attractor_refinement(w, s), (w, s)
-
-
-def test_attractor_agrees_with_oracle_structured():
-    # the constructed sets, each with one position dropped or one added
-    words = [("thue_morse", k, thue_morse(k)) for k in range(4, 9)]
-    words += [("fibonacci", k, fibonacci_word(k)) for k in range(2, 12)]
-    for family, k, w in words:
-        for s in attractor_variants(len(w), attractor_construct(family, k)):
-            assert is_attractor(w, s) == attractor_refinement(w, s), (family, k, s)
 
 
 def test_attractor_agrees_with_oracle_random():

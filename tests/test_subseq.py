@@ -8,6 +8,7 @@ from stringology.oracles import (
     lcs_table,
     min_subsequence_of_length,
     palindromic_subseq_longest,
+    shortest_distinguisher_length,
 )
 from stringology.subseq import (
     count_subsequences,
@@ -22,7 +23,6 @@ from stringology.subseq import (
     s_cover_check_naive,
     s_cover_positions_naive,
     s_cover_tables,
-    shortest_distinguisher_length,
     shortest_s_cover_naive,
 )
 from stringology.words import (
@@ -271,17 +271,6 @@ def test_count_subsequences_examples():
     assert count_subsequences([]) == 1
     assert max_subs(4) == 12
     assert max_subs(0) == 1
-
-
-def test_counting_vs_enumeration_and_max():
-    for n in range(0, 13):
-        best = 1
-        for mask in range(1 << n):
-            w = [(mask >> i) & 1 for i in range(n)]
-            c = count_subsequences(w)
-            assert c == len(all_subsequences(w))
-            best = max(best, c)
-        assert best == max_subs(n)
 
 
 def test_alternating_words_attain_max():

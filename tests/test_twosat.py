@@ -1,11 +1,7 @@
 import random
 
-from stringology.twosat import (
-    TwoSatFormula,
-    brute_force_sat,
-    check_assignment,
-    two_sat_solve,
-)
+from stringology.oracles import brute_force_sat
+from stringology.twosat import TwoSatFormula, check_assignment, two_sat_solve
 
 
 def test_forced_contradiction():

@@ -8,7 +8,6 @@ from stringology.words import (
     SizeLimitError,
     all_factors,
     all_subsequences,
-    as_word,
     bar,
     fibonacci_number,
     fibonacci_word,
@@ -97,15 +96,6 @@ def test_is_subsequence():
 
 def test_hole_is_out_of_alphabet():
     assert HOLE < 0
-
-
-def test_as_word_validation():
-    assert as_word((0, 1, 2), alphabet_bound=3) == [0, 1, 2]
-    assert as_word([HOLE, 0]) == [HOLE, 0]
-    with pytest.raises(ValueError):
-        as_word([-3])
-    with pytest.raises(ValueError):
-        as_word([3], alphabet_bound=3)
 
 
 @given(st.lists(st.integers(0, 1), max_size=40))
