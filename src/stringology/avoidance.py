@@ -9,6 +9,7 @@ from typing import Sequence
 
 
 _EVEN4 = {(0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1)}
+_RANDOM_TRIES_MAX = 10 ** 6
 
 
 def _mu_inverse(x: Sequence[int]) -> list[int] | None:
@@ -141,17 +142,6 @@ def grasshopper_cubefree_word(n: int) -> list[int]:
     return out[:n]
 
 
-def c_padding_code(v: Sequence[int]) -> list[int]:
-    """The cited coding a -> cca, b -> ccb (kept for reference; its output
-    contains the single-letter grasshopper cube ccc from length 4 on)."""
-    out: list[int] = []
-    for b in v:
-        if b not in (0, 1):
-            raise ValueError("source must be binary")
-        out.extend((2, 2, b))
-    return out
-
-
 def is_grasshopper_subsequence(z: Sequence[int], y: Sequence[int]) -> bool:
     """Can z be read along y advancing by one or two positions at a time?"""
     if not z:
@@ -261,23 +251,6 @@ def ternary_no_palprefix(n: int) -> int:
     return a[n]
 
 
-def interleave_fold(w: Sequence[int]) -> list[int]:
-    """Fold w = u a v (|u| = |v|, |a| <= 1) into interleave(u, reverse(v)) + a;
-    borders of w become even palindromic prefixes of the image."""
-    m = len(w) // 2
-    u, v = w[:m], w[len(w) - m:]
-    mid = list(w[m:len(w) - m])
-    out: list[int] = []
-    for a, b in zip(u, reversed(v)):
-        out.extend((a, b))
-    return out + mid
-
-
-def xor_fold(w: Sequence[int]) -> list[int]:
-    """Adjacent-xor image; odd palindromes map to even palindromes."""
-    return [a ^ b for a, b in zip(w, w[1:])]
-
-
 # ------------------------------------------- list-constrained square-free
 
 
@@ -328,12 +301,11 @@ def list_squarefree(lists: Sequence[Sequence[int]], control: Sequence[int]) -> P
     return PushPopTrace(tuple(ops), tuple(u))
 
 
-def list_squarefree_random(lists: Sequence[Sequence[int]], seed: int,
-                           max_tries: int = 10 ** 6) -> tuple[list[int], int]:
+def list_squarefree_random(lists: Sequence[Sequence[int]], seed: int) -> tuple[list[int], int]:
     """Sample control sequences until one succeeds; returns (word, tries)."""
     n = len(lists)
     rng = random.Random(seed)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, _RANDOM_TRIES_MAX + 1):
         c = [rng.randint(1, 5) for _ in range(8 * n)]
         trace = list_squarefree(lists, c)
         if len(trace.word) == n:

@@ -90,11 +90,7 @@ def pd_window(pd: Sequence[int], i: int, j: int) -> list[int]:
     """Parent-distance of w[i..j] without rescanning the word."""
     if not 0 <= i <= j < len(pd):
         raise ValueError("bad window")
-    out = []
-    for t in range(j - i + 1):
-        d = pd[i + t]
-        out.append(d if 0 < d <= t else 0)
-    return out
+    return [_pd_clip(pd[i + t], t) for t in range(j - i + 1)]
 
 
 def _pd_clip(d: int, t: int) -> int:

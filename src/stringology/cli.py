@@ -35,20 +35,8 @@ class UsageError(ValueError):
     pass
 
 
-class WordForm:
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        self.kind = kind  # "letters" | "digits" | "csv"
-
-    def __eq__(self, other):
-        return isinstance(other, WordForm) and other.kind == self.kind
-
-    def __repr__(self):
-        return f"WordForm(kind={self.kind!r})"
-
-
-def parse_word(text: str) -> tuple[list[int], WordForm]:
+def parse_word(text: str) -> tuple[list[int], str]:
+    """The word and the form it was written in: "csv", "digits" or "letters"."""
     if not text:
         raise UsageError("empty word literal")
     if "," in text:
@@ -62,18 +50,19 @@ def parse_word(text: str) -> tuple[list[int], WordForm]:
                     out.append(int(part))
                 except ValueError:
                     raise UsageError(f"bad integer {part!r}") from None
-        return out, WordForm("csv")
+        return out, "csv"
     if all(c.isdigit() or c == "?" for c in text):
-        return [HOLE if c == "?" else int(c) for c in text], WordForm("digits")
+        return [HOLE if c == "?" else int(c) for c in text], "digits"
     if all(c in LETTERS or c == "?" for c in text):
-        return [HOLE if c == "?" else LETTERS.index(c) for c in text], WordForm("letters")
+        return [HOLE if c == "?" else LETTERS.index(c) for c in text], "letters"
     raise UsageError(f"cannot parse word {text!r}")
 
 
-def format_word(w: Sequence[int], form: WordForm) -> str:
-    if form.kind == "letters" and all(s == HOLE or 0 <= s < 26 for s in w):
+def format_word(w: Sequence[int], form: str) -> str:
+    """w in the given form, or csv when a symbol does not fit it."""
+    if form == "letters" and all(s == HOLE or 0 <= s < 26 for s in w):
         return "".join("?" if s == HOLE else LETTERS[s] for s in w)
-    if form.kind == "digits" and all(s == HOLE or 0 <= s <= 9 for s in w):
+    if form == "digits" and all(s == HOLE or 0 <= s <= 9 for s in w):
         return "".join("?" if s == HOLE else str(s) for s in w)
     return ",".join("?" if s == HOLE else str(s) for s in w)
 
@@ -112,15 +101,6 @@ def parse_poly(text: str) -> Gf2Poly:
 
 def _bits(word: Sequence[int]) -> str:
     return "".join(str(b) for b in word)
-
-
-def _perm_str(p: Sequence[int]) -> str:
-    if max(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
-
-
-LETTER_FORM = WordForm("letters")
 
 
 class Command:
@@ -163,17 +143,17 @@ def _no_negative(symbols, text: str) -> None:
         raise UsageError(f"negative symbol in {text!r}")
 
 
-def _word(text: str) -> tuple[list[int], WordForm]:
+def _word(text: str) -> tuple[list[int], str]:
     word, form = parse_word(_no_hole(text))
     _no_negative(word, text)
     return word, form
 
 
-def _hole_word(text: str) -> tuple[list[int], WordForm]:
+def _hole_word(text: str) -> tuple[list[int], str]:
     """A word in which "?" is the hole; a negative literal, -1 included, is
     an error."""
     word, form = parse_word(text)
-    if form.kind == "csv":  # only a csv literal can spell a negative number
+    if form == "csv":  # only a csv literal can spell a negative number
         _no_negative([s for s, part in zip(word, text.split(",")) if part.strip() != "?"], text)
     return word, form
 
@@ -202,7 +182,7 @@ def _nonneg_int(text: str) -> int:
 # friends in this module (as the benchmark tracer does) reaches every command.
 # Only the two "hole-word" arguments accept "?", and only "int-word" (the
 # integer sequences of the cartesian verbs) accepts negative symbols.  The
-# kinds in WORD_KINDS return (word, WordForm).
+# kinds in WORD_KINDS return (word, form).
 KINDS = {
     "word": _word,
     "hole-word": _hole_word,
@@ -227,7 +207,7 @@ def _code(c, form):
                   "n": c.n, "k": c.k}
 
 
-# Result shape -> (result, form) -> (ok, value); ``form`` is the WordForm of
+# Result shape -> (result, form) -> (ok, value); ``form`` is the form of
 # the command's first word argument.  A "yes" result passes through as ok.
 SHAPES = {
     "yes": lambda r, form: (r, "yes" if r else "no"),
@@ -236,12 +216,12 @@ SHAPES = {
     "list": lambda r, form: (True, list(r)),
     "sorted": lambda r, form: (True, sorted(r)),
     "word": lambda r, form: (True, format_word(r, form)),
-    "letters": lambda r, form: (True, format_word(r, LETTER_FORM)),
+    "letters": lambda r, form: (True, format_word(r, "letters")),
     "bits": lambda r, form: (True, _bits(r)),
     "csv": lambda r, form: (True, ",".join(map(str, r))),
     "runs": lambda r, form: (True, ",".join(f"{b}:{e}" for b, e in r)),
     # the shape of one library result type each
-    "letter-pair": lambda r, form: (True, [format_word(w, LETTER_FORM) for w in r]),
+    "letter-pair": lambda r, form: (True, [format_word(w, "letters") for w in r]),
     "bit-pair": lambda r, form: (True, {"w": _bits(r[0]), "u": _bits(r[1])}),
     "tables": lambda t, form: (False, "no-border-embedding") if t is None else (True, {
         "L": list(t.first), "R": list(t.last), "LEFT": list(t.left),
@@ -362,7 +342,7 @@ def h_listsq_run(args, form):
     lists, control = args
     trace = avoidance.list_squarefree(lists, [int(c) for c in control])
     ok = len(trace.word) == len(lists)
-    return ok, format_word(list(trace.word), LETTER_FORM), {
+    return ok, format_word(list(trace.word), "letters"), {
         "pushes": trace.ops.count("push"), "pops": trace.ops.count("pop")}
 
 
@@ -372,7 +352,7 @@ def h_listsq_random(args, form, seed=None):
     if seed is None:
         raise UsageError("listsq random requires --seed")
     word, tries = avoidance.list_squarefree_random(*args, seed)
-    return True, format_word(word, LETTER_FORM), {"tries": tries}
+    return True, format_word(word, "letters"), {"tries": tries}
 
 
 def h_gen_seq(args, form, strict=False, expand=False):
@@ -392,7 +372,7 @@ def h_gen_run(args, form, start=None):
     import stringology.permgen as permgen
 
     perms = permgen.run_generator(*args, start=start)
-    return True, [_perm_str(p) for p in perms], {"count": len(perms)}
+    return True, [format_word(p, "digits") for p in perms], {"count": len(perms)}
 
 
 def h_lfsr_gen(args, form, limit=None):

@@ -1,7 +1,8 @@
 """Idempotent (free band) equivalence of words: the congruence generated by
-identifying uu with u, decided through characteristic quadruples.  Its
-references are ``oracles.band_signature`` and
-``oracles.rewrite_closure_classes``."""
+identifying uu with u, decided through characteristic quadruples.  Every
+right-to-left scan is the left-to-right one run on the reversed word: the
+suffix of a quadruple and the left window tables.  Its references are
+``oracles.band_signature`` and ``oracles.rewrite_closure_classes``."""
 
 from __future__ import annotations
 
@@ -19,30 +20,30 @@ class Quadruple:
     suffix: tuple[int, ...]
 
 
-def psi(x: Sequence[int]) -> Quadruple:
-    """Characteristic quadruple (p, a, b, q): pa is the shortest prefix and
-    bq the shortest suffix using the full alphabet of x."""
-    if not x:
-        raise ValueError("need a non-empty word")
+def _alphabet_prefix(x: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """(p, a) with pa the shortest prefix of x that uses every letter of x."""
     full = len(set(x))
     seen: set[int] = set()
     for i, c in enumerate(x):
         seen.add(c)
         if len(seen) == full:
-            p, a = tuple(x[:i]), c
-            break
-    seen = set()
-    for i in range(len(x) - 1, -1, -1):
-        seen.add(x[i])
-        if len(seen) == full:
-            b, q = x[i], tuple(x[i + 1:])
-            break
-    return Quadruple(p, a, b, q)
+            return tuple(x[:i]), c
 
 
-def _rank_windows(z: Sequence[int], k: int) -> tuple[list[int], list[int]]:
-    """right_k[i] = largest j with |alph(z[i..j])| = k (or -1 when fewer than
-    k letters remain); left_k[j] symmetric."""
+def psi(x: Sequence[int]) -> Quadruple:
+    """Characteristic quadruple (p, a, b, q): pa is the shortest prefix and
+    bq the shortest suffix using the full alphabet of x.  The suffix is the
+    prefix of the reversed word, read backwards."""
+    if not x:
+        raise ValueError("need a non-empty word")
+    p, a = _alphabet_prefix(x)
+    q, b = _alphabet_prefix(x[::-1])
+    return Quadruple(p, a, b, q[::-1])
+
+
+def _right_windows(z: Sequence[int], k: int) -> list[int]:
+    """right[i] = largest j with |alph(z[i..j])| = k, or -1 when fewer than
+    k letters remain."""
     n = len(z)
     right = [-1] * n
     counts: dict[int, int] = {}
@@ -66,29 +67,15 @@ def _rank_windows(z: Sequence[int], k: int) -> tuple[list[int], list[int]]:
                 distinct -= 1
         else:
             j = i
-    left = [-1] * n
-    counts = {}
-    distinct = 0
-    i = n  # window [i, j], minimal i with at most k distinct, going leftward
-    for j in range(n - 1, -1, -1):
-        if i > j + 1:
-            i = j + 1
-        while i - 1 >= 0:
-            c = z[i - 1]
-            if counts.get(c, 0) == 0 and distinct == k:
-                break
-            counts[c] = counts.get(c, 0) + 1
-            if counts[c] == 1:
-                distinct += 1
-            i -= 1
-        left[j] = i if distinct == k else -1
-        if i <= j:
-            counts[z[j]] -= 1
-            if counts[z[j]] == 0:
-                distinct -= 1
-        else:
-            i = j
-    return right, left
+    return right
+
+
+def _rank_windows(z: Sequence[int], k: int) -> tuple[list[int], list[int]]:
+    """(right_k, left_k): left_k[j] = smallest i with |alph(z[i..j])| = k (or
+    -1), the right table of the reversed word read backwards."""
+    last = len(z) - 1
+    mirror = _right_windows(z[::-1], k)
+    return _right_windows(z, k), [-1 if i < 0 else last - i for i in reversed(mirror)]
 
 
 def idempotent_equivalent(x: Sequence[int], y: Sequence[int]) -> bool:

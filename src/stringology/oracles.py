@@ -17,15 +17,6 @@ from typing import Hashable, Iterable, Sequence
 from .words import SizeLimitError, all_subsequences, approx_eq
 
 
-def words_over(alphabet: Sequence[int], length: int) -> Iterable[tuple[int, ...]]:
-    if length == 0:
-        yield ()
-        return
-    for prefix in words_over(alphabet, length - 1):
-        for c in alphabet:
-            yield prefix + (c,)
-
-
 def naive_shortest_cover(x: Sequence[int]) -> int:
     """Shortest prefix of x whose occurrences tile x; |x| when none do."""
     n = len(x)

@@ -1,9 +1,15 @@
-"""Superpatterns for permutations and universal words for window shapes."""
+"""Superpatterns for permutations and universal words for window shapes.
+
+A universal shape word follows an Euler cycle of the shape graph, walked by
+``rings.euler_circuit`` with the smallest label first."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
+
+from .rings import euler_circuit
 
 
 def superpattern_word(n: int) -> list[int]:
@@ -101,30 +107,14 @@ def is_universal_shape_word(w: Sequence[int], n: int) -> bool:
 def shape_graph_euler_labels(n: int) -> list[int]:
     """Labels of an Euler cycle over the graph whose nodes are the
     (n-1)-permutations and whose edges append one of n relative ranks."""
-    start = tuple(range(1, n))
     adj: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = {}
-    import itertools
-
     for pi in itertools.permutations(range(1, n + 1)):
         src = shape(pi[:-1])
         dst = shape(pi[1:])
         adj.setdefault(src, []).append((pi[-1], dst))
     for lst in adj.values():
         lst.sort(reverse=True)  # pop() then yields the smallest label first
-
-    # Hierholzer with deterministic smallest-label choice
-    stack: list[tuple[tuple[int, ...], int | None]] = [(start, None)]
-    circuit_labels: list[int] = []
-    while stack:
-        node, via = stack[-1]
-        if adj.get(node):
-            label, nxt = adj[node].pop()
-            stack.append((nxt, label))
-        else:
-            stack.pop()
-            if via is not None:
-                circuit_labels.append(via)
-    return circuit_labels[::-1]
+    return euler_circuit(adj, tuple(range(1, n)))
 
 
 def lift(alpha: Sequence[int], a: int) -> list[int]:

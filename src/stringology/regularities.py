@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .rle import Run, rle_length, rle_validate
+from .rle import Run, check_runs, rle_length, rle_validate
 from .suffixtree import suffix_tree
 from .twosat import TwoSatFormula, two_sat_solve
 from .words import HOLE, approx_eq, fibonacci_word, zarray
@@ -77,12 +77,6 @@ def local_period_holds(x: Sequence[int], p: int) -> bool:
     if min(x) < HOLE:  # HOLE is -1, the one negative symbol with a meaning
         raise ValueError("symbols must be non-negative or HOLE")
     return all(approx_eq(x[i], x[i + p]) for i in range(len(x) - p))
-
-
-def tightness_example() -> list[int]:
-    """One-hole word with coprime local periods 5 and 7 but not 1."""
-    w = [0, 1, 0, 1, 0, 0, 1, 0, 1, 0]
-    return w + [HOLE]
 
 
 # ---------------------------------------------------------------- anticovers
@@ -234,14 +228,7 @@ def rle_find(pattern: Sequence[Run], text: Sequence[Run]) -> bool:
     """Does the decoded pattern occur in the decoded text?  Linear in the
     total run count."""
     rle_validate(pattern)
-    if not text:
-        raise ValueError("empty text")
-    for bit, exp in text:
-        if bit not in (0, 1) or exp < 1:
-            raise ValueError("malformed text runs")
-    for i in range(1, len(text)):
-        if text[i][0] == text[i - 1][0]:
-            raise ValueError("adjacent text runs must alternate")
+    check_runs(text)  # the text may start with a 0-run
     t = len(pattern)
     if t == 1:
         bit, exp = pattern[0]

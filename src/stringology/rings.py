@@ -3,7 +3,9 @@ chains in de Bruijn graphs.
 
 Nodes of the order-k graph are (k-1)-bit words, edges are k-bit words; a
 closed chain using each of its edges once spells a ring word.  Chains are
-lists of edge integers (first letter = most significant bit).
+lists of edge integers (first letter = most significant bit).  The edge sets
+split into chains are balanced, so one Hierholzer walk per component,
+``euler_circuit``, finds them; ``patterns`` walks its shape graph with it too.
 """
 
 from __future__ import annotations
@@ -45,40 +47,36 @@ def _phi_lift(chain: list[int], k: int) -> list[int]:
     return out
 
 
+def euler_circuit(adj: dict, start) -> list:
+    """Labels along an Euler circuit from start (Hierholzer).
+
+    adj[node] lists the (label, target) edges leaving node; each edge is
+    popped off the end once, so the list order fixes the choice at every
+    node.  Consumes adj.  The circuit covers every edge reachable from start
+    when the graph is balanced (in-degree = out-degree at every node).
+    """
+    stack = [(start, None)]
+    circuit = []
+    while stack:
+        node, via = stack[-1]
+        out = adj.get(node)
+        if out:
+            label, target = out.pop()
+            stack.append((target, label))
+        else:
+            stack.pop()
+            if via is not None:
+                circuit.append(via)
+    return circuit[::-1]
+
+
 def _euler_chains(edges: set[int], k: int) -> list[list[int]]:
-    """Euler cycles of each connected component, smallest-label-first."""
-    out_adj: dict[int, list[int]] = {}
+    """Euler cycles of each connected component of a balanced edge set,
+    smallest-label-first, each from its smallest node."""
+    adj: dict[int, list[tuple[int, int]]] = {}
     for e in sorted(edges, reverse=True):
-        out_adj.setdefault(_edge_source(e, k), []).append(e)
-    unused = set(edges)
-    chains = []
-    nodes_seen: set[int] = set()
-    for start_node in sorted(out_adj):
-        if start_node in nodes_seen or not any(e in unused for e in out_adj[start_node]):
-            continue
-        # Hierholzer from start_node
-        stack: list[tuple[int, int | None]] = [(start_node, None)]
-        circuit: list[int] = []
-        while stack:
-            node, via = stack[-1]
-            lst = out_adj.get(node, [])
-            while lst and lst[-1] not in unused:
-                lst.pop()
-            if lst:
-                e = lst.pop()
-                unused.discard(e)
-                stack.append((_edge_target(e, k), e))
-            else:
-                stack.pop()
-                if via is not None:
-                    circuit.append(via)
-        chain = circuit[::-1]
-        if chain:
-            chains.append(chain)
-            for e in chain:
-                nodes_seen.add(_edge_source(e, k))
-                nodes_seen.add(_edge_target(e, k))
-    return chains
+        adj.setdefault(_edge_source(e, k), []).append((e, _edge_target(e, k)))
+    return [euler_circuit(adj, node) for node in sorted(adj) if adj[node]]
 
 
 def _glue(chains: list[list[int]], k: int) -> list[int]:

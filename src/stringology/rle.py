@@ -8,10 +8,15 @@ Run = tuple[int, int]  # (bit, exponent >= 1)
 
 
 def rle_validate(runs: Sequence[Run]) -> None:
+    if runs and runs[0][0] != 1:
+        raise ValueError("first run must be a 1-run")
+    check_runs(runs)
+
+
+def check_runs(runs: Sequence[Run]) -> None:
+    """A non-empty list of alternating runs, whichever bit it starts with."""
     if not runs:
         raise ValueError("empty run list")
-    if runs[0][0] != 1:
-        raise ValueError("first run must be a 1-run")
     prev = None
     for bit, exp in runs:
         if bit not in (0, 1):

@@ -3,14 +3,14 @@
 The fast level re-verifies the worked examples and small oracle sweeps; the
 full level runs the exhaustive cross-checks.  ``CHECKS`` is where each
 sweep the acceptance test relies on is written, once: ``results`` runs a
-level's checks and yields one record each, and ``run`` prints those records.
+level's checks and yields one record each, and ``report`` prints one record;
+the ``selftest run`` command is the one loop over both.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import sys
 from fractions import Fraction
 from time import perf_counter
 from typing import Callable, Iterator, NamedTuple
@@ -803,13 +803,3 @@ def report(r: Result, out) -> None:
         print(f"pass {r.name} ({r.seconds:.1f}s)", file=out)
     else:
         print(f"FAIL {r.name}: {r.error}", file=out)
-
-
-def run(level: str = "fast", out=sys.stdout) -> int:
-    """Run the selected suites; returns the number of failures."""
-    failures = 0
-    for r in results(level):
-        report(r, out)
-        failures += r.error is not None
-    print(f"{'ok' if failures == 0 else 'FAILED'} level={level}", file=out)
-    return failures

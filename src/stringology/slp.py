@@ -11,6 +11,8 @@ TERM = "term"
 CAT = "cat"
 POW = "pow"
 
+_EXPAND_MAX = 1 << 22
+
 
 @dataclass(frozen=True)
 class Slp:
@@ -132,11 +134,11 @@ def slp_length(g: Slp) -> int:
     return length(g.start)
 
 
-def slp_expand(g: Slp, limit: int = 1 << 22) -> list[int]:
-    """Expand to the produced word; refuses words longer than limit."""
+def slp_expand(g: Slp) -> list[int]:
+    """Expand to the produced word; refuses words longer than _EXPAND_MAX."""
     total = slp_length(g)
-    if total > limit:
-        raise SizeLimitError(f"expansion of length {total} exceeds limit {limit}")
+    if total > _EXPAND_MAX:
+        raise SizeLimitError(f"expansion of length {total} exceeds limit {_EXPAND_MAX}")
     out: list[int] = []
     stack = [g.start]
     while stack:
@@ -180,7 +182,8 @@ def strict_binary(g: Slp) -> Slp:
         memo[v] = nid
         return nid
 
-    # convert iteratively to dodge recursion limits on deep grammars
+    # convert recurses once per rule on a path, so deep grammars run under a
+    # recursion limit raised to fit the rule count
     import sys
 
     old = sys.getrecursionlimit()

@@ -1,6 +1,12 @@
 """Subsequence algorithms: s-covers, short distinguishers, lexicographically
 minimal subsequences, palindromic subsequences, and subsequence counting.
 
+The s-cover test follows the paper's lists L and R of y-positions: L is the
+lexicographically first embedding of x in y with p_1 = 0, and R the last one
+with q_m = n-1 (the paper's ``q_m = m-1`` reads n-1 here, the last position
+of y).  R is L of the reversed words, read backwards, so one greedy scan
+builds both, and RIGHT is LEFT of the mirror.
+
 The distinguisher reference is ``oracles.shortest_distinguisher_length``; the
 naive s-cover routes stay here while the benchmark reads them."""
 
@@ -24,6 +30,7 @@ class SCoverTables:
 
 
 def _first_embedding(x: Sequence[int], y: Sequence[int]) -> list[int] | None:
+    """L, the greedy leftmost embedding of x in y, when it starts at 0."""
     if not y or y[0] != x[0]:
         return None
     out = [0]
@@ -37,18 +44,15 @@ def _first_embedding(x: Sequence[int], y: Sequence[int]) -> list[int] | None:
     return out if j == len(x) else None
 
 
-def _last_embedding(x: Sequence[int], y: Sequence[int]) -> list[int] | None:
-    if not y or y[-1] != x[-1]:
-        return None
-    out = [len(y) - 1]
-    j = len(x) - 2
-    for i in range(len(y) - 2, -1, -1):
-        if j < 0:
-            break
-        if y[i] == x[j]:
-            out.append(i)
-            j -= 1
-    return out[::-1] if j < 0 else None
+def _counts_before(emb: list[int], n: int) -> list[int]:
+    """c[i] = |{k in emb : k < i}| for an increasing position list emb."""
+    out = [0] * n
+    seen = 0
+    for i in range(n):
+        out[i] = seen
+        if seen < len(emb) and emb[seen] == i:
+            seen += 1
+    return out
 
 
 def s_cover_tables(x: Sequence[int], y: Sequence[int]) -> SCoverTables | None:
@@ -56,22 +60,13 @@ def s_cover_tables(x: Sequence[int], y: Sequence[int]) -> SCoverTables | None:
     if not 1 <= len(x) < len(y):
         raise ValueError("need 1 <= |x| < |y|")
     first = _first_embedding(x, y)
-    last = _last_embedding(x, y)
-    if first is None or last is None:
+    mirror = _first_embedding(x[::-1], y[::-1])  # R, read backwards
+    if first is None or mirror is None:
         return None
     n, m = len(y), len(x)
-    left = [0] * n
-    seen = 0
-    for i in range(n):
-        left[i] = seen
-        if seen < m and first[seen] == i:
-            seen += 1
-    right = [0] * n
-    seen = 0
-    for i in range(n - 1, -1, -1):
-        right[i] = seen
-        if seen < m and last[m - 1 - seen] == i:
-            seen += 1
+    last = [n - 1 - i for i in reversed(mirror)]
+    left = _counts_before(first, n)
+    right = _counts_before(mirror, n)[::-1]
     # p[i] = longest prefix of x ending with letter y[i] that embeds in y[:i+1]
     f: dict[int, int] = {}
     p = [0] * n

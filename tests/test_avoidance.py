@@ -8,7 +8,6 @@ from stringology.avoidance import (
     fib_factor_test,
     grasshopper_cubefree_word,
     grasshopper_squarefree_word,
-    interleave_fold,
     is_grasshopper_subsequence,
     is_square_free,
     list_squarefree,
@@ -19,13 +18,36 @@ from stringology.avoidance import (
     tm_factor_test,
     unbordered_counts,
     unbordered_weighted,
-    xor_fold,
 )
 from stringology.words import thue_morse
 
 
 def letters(s):
     return [ord(c) - ord("a") for c in s]
+
+
+def c_padding_code(v):
+    """The cited coding a -> cca, b -> ccb."""
+    out = []
+    for b in v:
+        out.extend((2, 2, b))
+    return out
+
+
+def interleave_fold(w):
+    """Fold w = u a v (|u| = |v|, |a| <= 1) into interleave(u, reverse(v)) + a;
+    borders of w become even palindromic prefixes of the image."""
+    m = len(w) // 2
+    u, v = w[:m], w[len(w) - m:]
+    out = []
+    for a, b in zip(u, reversed(v)):
+        out.extend((a, b))
+    return out + list(w[m:len(w) - m])
+
+
+def xor_fold(w):
+    """Adjacent-xor image; odd palindromes map to even palindromes."""
+    return [a ^ b for a, b in zip(w, w[1:])]
 
 
 def bits(s):
@@ -106,8 +128,6 @@ def test_grasshopper_cubefree_outputs():
 
 def test_cited_padding_coding_is_not_cube_safe():
     # the cca/ccb coding yields ccc by jumps of one and two from length 4 on
-    from stringology.avoidance import c_padding_code
-
     w = c_padding_code([0, 1, 1, 0])
     assert w == [2, 2, 0, 2, 2, 1, 2, 2, 1, 2, 2, 0]
     assert oracles.grasshopper_cube_exists(w[:4])

@@ -19,7 +19,6 @@ from stringology.cli import (
     parse_poly,
     parse_runs,
     parse_word,
-    WordForm,
 )
 from stringology.words import HOLE
 
@@ -94,6 +93,14 @@ def test_gen_run_command():
     assert lines[0] == "123" and lines[-1] == "321"
 
 
+def test_gen_run_start_prints_arrangements_that_read_back():
+    # one-digit entries 0..9 are joined, anything else falls back to csv
+    rc, out = run_cli(["gen", "run", "heap", "2", "--start", "-2,3"])
+    assert rc == 0 and json.loads(out)["value"] == ["-2,3", "3,-2"]
+    rc, out = run_cli(["gen", "run", "heap", "2", "--start", "0,10"])
+    assert rc == 0 and json.loads(out)["value"] == ["0,10", "10,0"]
+
+
 def test_json_output_shape():
     rc, out = run_cli(["subs", "count", "abab"])
     rec = json.loads(out)
@@ -149,7 +156,7 @@ def test_word_formatting_roundtrip():
     assert format_word(w, form) == "abba"
     w, form = parse_word("0110")
     assert format_word(w, form) == "0110"
-    assert format_word([27], WordForm("letters")) == "27"
+    assert format_word([27], "letters") == "27"
 
 
 def test_runs_and_poly_parsers():
@@ -418,31 +425,21 @@ def test_selftest_unknown_level_raises_before_any_check(monkeypatch):
     assert [r.name for r in selftest.results("full")] == ["probe"] and ran == [1]
 
 
-def test_selftest_reports_every_failing_check(monkeypatch):
+def test_selftest_run_writes_one_json_line_per_command(monkeypatch, capsys):
     def broken():
         raise ValueError("boom")
 
     monkeypatch.setattr(selftest, "CHECKS", [("broken", "fast", broken),
                                              ("fine", "fast", lambda: None)])
-    out = io.StringIO()
-    assert selftest.run(level="fast", out=out) == 1
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "FAIL broken: ValueError: boom"
-    assert lines[1].startswith("pass fine (")
-    assert lines[2] == "FAILED level=fast"
-
-
-def test_selftest_run_writes_one_json_line_per_command(monkeypatch, capsys):
-    def broken():
-        raise ValueError("boom")
-
-    monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None),
-                                             ("broken", "fast", broken)])
     want = {"ok": False, "value": "FAILED", "meta": {"failures": 1, "failed": ["broken"]}}
     assert main(["selftest", "run"]) == 1
     out, err = capsys.readouterr()
     assert [json.loads(line) for line in out.splitlines()] == [want]
-    assert "FAIL broken: ValueError: boom" in err  # progress goes to stderr
+    # progress goes to stderr, one line per check in CHECKS order; a failing
+    # check does not stop the ones after it
+    lines = err.splitlines()
+    assert lines[0] == "FAIL broken: ValueError: boom"
+    assert lines[1].startswith("pass fine (")
     monkeypatch.setattr(sys, "stdin", io.StringIO("selftest run\nselftest run --level full\n"))
     assert main(["batch"]) == 1
     out, _ = capsys.readouterr()

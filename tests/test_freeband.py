@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from stringology.freeband import idempotent_equivalent, psi
+from stringology.freeband import Quadruple, idempotent_equivalent, psi
 from stringology.oracles import band_signature, rewrite_closure_classes
 
 
@@ -27,6 +27,15 @@ def test_psi_single_letter_and_unary():
     assert q.first_new == q.last_new == 2
     with pytest.raises(ValueError):
         psi([])
+
+
+def test_psi_of_the_reversed_word_is_the_mirrored_quadruple():
+    rng = random.Random(13)
+    for _ in range(500):
+        x = [rng.randrange(rng.randint(1, 5)) for _ in range(rng.randint(1, 20))]
+        q = psi(x)
+        assert psi(x[::-1]) == Quadruple(q.suffix[::-1], q.last_new, q.first_new,
+                                         q.prefix[::-1])
 
 
 def test_equivalence_worked_examples():

@@ -18,7 +18,6 @@ from stringology.regularities import (
     local_period_holds,
     rle_find,
     rle_shortest_cover,
-    tightness_example,
     two_anticover,
 )
 from stringology.rle import rle_decode, rle_encode
@@ -27,6 +26,11 @@ from stringology.words import HOLE, fibonacci_word, thue_morse
 
 def letters(s):
     return [ord(c) - ord("a") for c in s]
+
+
+def tightness_example():
+    """One-hole word with coprime local periods 5 and 7 but not 1."""
+    return [0, 1, 0, 1, 0, 0, 1, 0, 1, 0, HOLE]
 
 
 # ------------------------------------------------------------- attractors

@@ -30,9 +30,11 @@ def test_zaks_grammar_examples():
 
 
 def test_expand_limit():
-    g = gen_sequence("zaks", 12)
+    # one power rule one past the cap; slp_length sizes it without expanding
+    b = SlpBuilder()
+    g = b.build(b.power(b.term(1), (1 << 22) + 1))
     with pytest.raises(SizeLimitError):
-        slp_expand(g, limit=10 ** 6)
+        slp_expand(g)
 
 
 def test_length_matches_expansion():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -59,6 +60,32 @@ def test_s_cover_tables_golden():
     assert list(t.left) == [0, 1, 2, 2, 3, 3, 4, 4, 4]
     assert list(t.right) == [5, 5, 4, 4, 3, 3, 2, 1, 0]
     assert list(t.p) == [1, 2, 1, 3, 2, 4, 3, 4, 5]
+
+
+def test_s_cover_tables_follow_the_definition():
+    # L: least position tuple spelling x with p_1 = 0; R: greatest with
+    # q_m = n-1; LEFT and RIGHT count them by definition
+    xs = [x for m in range(1, 5) for x in itertools.product(range(3), repeat=m)]
+    for n in range(2, 8):
+        for y in itertools.product(range(3), repeat=n):
+            first, last = {}, {}
+            for m in range(1, min(4, n - 1) + 1):
+                for pos in itertools.combinations(range(n), m):
+                    word = tuple(y[i] for i in pos)
+                    if pos[0] == 0:
+                        first[word] = min(first.get(word, pos), pos)
+                    if pos[-1] == n - 1:
+                        last[word] = max(last.get(word, pos), pos)
+            for x in xs:
+                if len(x) >= n:
+                    continue
+                t = s_cover_tables(list(x), list(y))
+                if x not in first or x not in last:
+                    assert t is None, (x, y)
+                    continue
+                assert (t.first, t.last) == (first[x], last[x]), (x, y)
+                assert t.left == tuple(sum(k < i for k in t.first) for i in range(n))
+                assert t.right == tuple(sum(k > i for k in t.last) for i in range(n))
 
 
 def test_s_cover_predicate_components_match_result():
