@@ -425,21 +425,34 @@ def test_selftest_unknown_level_raises_before_any_check(monkeypatch):
     assert [r.name for r in selftest.results("full")] == ["probe"] and ran == [1]
 
 
-def test_selftest_run_writes_one_json_line_per_command(monkeypatch, capsys):
+def test_selftest_reports_every_failing_check(monkeypatch, capsys):
     def broken():
         raise ValueError("boom")
 
     monkeypatch.setattr(selftest, "CHECKS", [("broken", "fast", broken),
                                              ("fine", "fast", lambda: None)])
-    want = {"ok": False, "value": "FAILED", "meta": {"failures": 1, "failed": ["broken"]}}
-    assert main(["selftest", "run"]) == 1
+    assert main(["selftest", "run", "--level", "fast"]) == 1
     out, err = capsys.readouterr()
-    assert [json.loads(line) for line in out.splitlines()] == [want]
     # progress goes to stderr, one line per check in CHECKS order; a failing
     # check does not stop the ones after it
     lines = err.splitlines()
     assert lines[0] == "FAIL broken: ValueError: boom"
     assert lines[1].startswith("pass fine (")
+    assert len(lines) == 2
+    assert json.loads(out)["value"] == "FAILED"
+
+
+def test_selftest_run_writes_one_json_line_per_command(monkeypatch, capsys):
+    def broken():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None),
+                                             ("broken", "fast", broken)])
+    want = {"ok": False, "value": "FAILED", "meta": {"failures": 1, "failed": ["broken"]}}
+    assert main(["selftest", "run"]) == 1
+    out, err = capsys.readouterr()
+    assert [json.loads(line) for line in out.splitlines()] == [want]
+    assert "FAIL broken: ValueError: boom" in err  # progress goes to stderr
     monkeypatch.setattr(sys, "stdin", io.StringIO("selftest run\nselftest run --level full\n"))
     assert main(["batch"]) == 1
     out, _ = capsys.readouterr()
