@@ -372,7 +372,10 @@ def h_gen_run(args, form, start=None):
     import stringology.permgen as permgen
 
     perms = permgen.run_generator(*args, start=start)
-    return True, [format_word(p, "digits") for p in perms], {"count": len(perms)}
+    # entries are integers, not symbols (-1 is no HOLE); every arrangement
+    # reorders the first, so one check picks digits or csv for all
+    sep = "" if all(0 <= s <= 9 for s in perms[0]) else ","
+    return True, [sep.join(map(str, p)) for p in perms], {"count": len(perms)}
 
 
 def h_lfsr_gen(args, form, limit=None):

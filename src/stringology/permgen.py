@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .slp import Slp, SlpBuilder, slp_expand
+from .slp import Slp, SlpBuilder, rule_lengths, slp_expand
 from .words import SizeLimitError
 
 KINDS = ("zaks", "knuthC", "heap", "ehrlich", "stj")
@@ -153,23 +153,12 @@ def _ehrlich_slp(n: int) -> Slp:
 
 def _image_with_parity(g: Slp, b: SlpBuilder, term_image) -> int:
     """Rebuild g inside builder b, replacing each terminal by
-    term_image(letter, index_parity); parities thread through lengths."""
+    term_image(letter, index_parity); parities thread through lengths.
+    g holds term and cat rules only, as every stj level does.  Recurses once
+    per rule on a path of g: 188 deep at most, for the last stj level at
+    n = 20, well inside the default recursion limit."""
     node_of: dict[tuple[int, int], int] = {}
-    par: dict[int, int] = {}  # expanded length of original node, mod 2
-
-    def length_parity(v: int) -> int:
-        got = par.get(v)
-        if got is not None:
-            return got
-        rule = g.rules[v]
-        if rule[0] == "term":
-            r = 1
-        elif rule[0] == "cat":
-            r = (length_parity(rule[1]) + length_parity(rule[2])) % 2
-        else:
-            r = (length_parity(rule[1]) * rule[2]) % 2
-        par[v] = r
-        return r
+    length = rule_lengths(g)
 
     def image(v: int, p: int) -> int:
         got = node_of.get((v, p))
@@ -180,31 +169,13 @@ def _image_with_parity(g: Slp, b: SlpBuilder, term_image) -> int:
             node = term_image(rule[1], p)
         elif rule[0] == "cat":
             left = image(rule[1], p)
-            right = image(rule[2], (p + length_parity(rule[1])) % 2)
-            node = b.cat(left, right)
+            node = b.cat(left, image(rule[2], (p + length[rule[1]]) % 2))
         else:
-            base, e = rule[1], rule[2]
-            if length_parity(base) == 0:
-                node = b.power(image(base, p), e)
-            else:
-                pair = b.cat(image(base, p), image(base, 1 - p))
-                if e == 1:
-                    node = image(base, p)
-                elif e % 2 == 0:
-                    node = b.power(pair, e // 2)
-                else:
-                    node = b.cat(b.power(pair, e // 2), image(base, p))
+            raise ValueError("parity image of a power rule is not defined")
         node_of[(v, p)] = node
         return node
 
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(g.rules) + 100))
-    try:
-        return image(g.start, 0)
-    finally:
-        sys.setrecursionlimit(old)
+    return image(g.start, 0)
 
 
 def _stj_slp(n: int) -> Slp:

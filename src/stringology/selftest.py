@@ -522,16 +522,23 @@ def _lcs_fast():
         assert lcs(u, u[::-1]) == oracles.lcs_table(u, u[::-1])
 
 
-@check("distinguisher bound and membership (exhaustive n <= 8)", "fast")
-def _distinguish_fast():
-    for n in range(1, 9):
+def _assert_distinguishes(x, y) -> None:
+    z = distinguishing_subsequence(x, y)
+    assert len(z) <= (len(x) + 2) // 2
+    assert is_subsequence(z, x) != is_subsequence(z, y)
+
+
+def _distinguish_all_pairs(lengths) -> None:
+    for n in lengths:
         for xm in range(1 << n):
             x = [(xm >> i) & 1 for i in range(n)]
             for ym in range(xm + 1, 1 << n):
-                y = [(ym >> i) & 1 for i in range(n)]
-                z = distinguishing_subsequence(x, y)
-                assert len(z) <= (n + 2) // 2
-                assert is_subsequence(z, x) != is_subsequence(z, y)
+                _assert_distinguishes(x, [(ym >> i) & 1 for i in range(n)])
+
+
+@check("distinguisher bound and membership (exhaustive n <= 8)", "fast")
+def _distinguish_fast():
+    _distinguish_all_pairs(range(1, 9))
     for n in range(2, 13):
         x, y = hard_pair(n)
         assert oracles.shortest_distinguisher_length(x, y) == (n + 2) // 2
@@ -547,12 +554,17 @@ def _factor_tests_fast():
         assert fib_factor_test(w) == (fib.find(b) >= 0)
 
 
-@check("rle cover vs naive cover (exhaustive length <= 13)", "fast")
-def _rle_cover_fast():
-    for n in range(1, 14):
+def _rle_cover_sweep(lengths) -> None:
+    # every binary word of each length that starts with 1
+    for n in lengths:
         for mask in range(1 << (n - 1)):
             w = [1] + [(mask >> i) & 1 for i in range(n - 1)]
             assert rle_shortest_cover(rle_encode(w)) == oracles.naive_shortest_cover(w)
+
+
+@check("rle cover vs naive cover (exhaustive length <= 13)", "fast")
+def _rle_cover_fast():
+    _rle_cover_sweep(range(1, 14))
 
 
 # ------------------------------------------------------------------- full
@@ -607,24 +619,14 @@ def _lps_full():
 
 @check("distinguisher length bound (all pairs n <= 10, samples to 12)", "full")
 def _distinguish_full():
-    for n in range(9, 11):
-        for xm in range(1 << n):
-            x = [(xm >> i) & 1 for i in range(n)]
-            for ym in range(xm + 1, 1 << n):
-                y = [(ym >> i) & 1 for i in range(n)]
-                z = distinguishing_subsequence(x, y)
-                assert len(z) <= (n + 2) // 2
-                assert is_subsequence(z, x) != is_subsequence(z, y)
+    _distinguish_all_pairs(range(9, 11))
     rng = random.Random(73)
     for n in (11, 12):
         for _ in range(20_000):
             x = [rng.randrange(2) for _ in range(n)]
             y = [rng.randrange(2) for _ in range(n)]
-            if x == y:
-                continue
-            z = distinguishing_subsequence(x, y)
-            assert len(z) <= (n + 2) // 2
-            assert is_subsequence(z, x) != is_subsequence(z, y)
+            if x != y:
+                _assert_distinguishes(x, y)
 
 
 @check("factor tests vs direct scans (all lengths <= 14)", "full")
@@ -698,10 +700,7 @@ def _index_full():
 
 @check("rle cover vs naive cover (exhaustive length <= 18)", "full")
 def _rle_cover_full():
-    for n in range(14, 19):
-        for mask in range(1 << (n - 1)):
-            w = [1] + [(mask >> i) & 1 for i in range(n - 1)]
-            assert rle_shortest_cover(rle_encode(w)) == oracles.naive_shortest_cover(w)
+    _rle_cover_sweep(range(14, 19))
 
 
 @check("attractor suffix-tree check vs rank-refinement oracle "

@@ -1,8 +1,15 @@
-"""Straight-line programs: acyclic grammars with concat and power rules."""
+"""Straight-line programs: acyclic grammars with concat and power rules.
+
+Every grammar carries ``order``, the rules reachable from ``start`` with
+each rule after the rules it refers to and a left child before a right one:
+the post-order of a left-first walk from ``start``, which comes last.
+Lengths and the strict-binary rewrite are single forward passes over that
+order, so nothing here recurses, however deep the grammar.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .words import SizeLimitError
@@ -20,42 +27,44 @@ class Slp:
 
     rules: Mapping[int, tuple]
     start: int
+    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate(self.rules, self.start)
+        object.__setattr__(self, "order", _children_first(self.rules, self.start))
 
 
-def _validate(rules: Mapping[int, tuple], start: int) -> None:
+def _children_first(rules: Mapping[int, tuple], start: int) -> tuple[int, ...]:
+    """Check the rules reachable from start and list them children first."""
     state: dict[int, int] = {}  # 0 = visiting, 1 = done
-
-    def visit(node: int) -> None:
-        stack = [(node, False)]
-        while stack:
-            v, done = stack.pop()
-            if done:
-                state[v] = 1
-                continue
-            if state.get(v) == 1:
-                continue
-            if state.get(v) == 0:
-                raise ValueError(f"cycle through rule {v}")
-            if v not in rules:
-                raise ValueError(f"undefined rule {v}")
-            state[v] = 0
-            stack.append((v, True))
-            rule = rules[v]
-            if rule[0] == TERM:
-                pass
-            elif rule[0] == CAT:
-                stack.extend((c, False) for c in rule[1:])
-            elif rule[0] == POW:
-                if rule[2] < 1:
-                    raise ValueError("power exponent must be >= 1")
-                stack.append((rule[1], False))
-            else:
-                raise ValueError(f"unknown rule kind {rule[0]!r}")
-
-    visit(start)
+    order: list[int] = []
+    stack = [(start, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            state[v] = 1
+            order.append(v)
+            continue
+        if state.get(v) == 1:
+            continue
+        if state.get(v) == 0:
+            raise ValueError(f"cycle through rule {v}")
+        if v not in rules:
+            raise ValueError(f"undefined rule {v}")
+        state[v] = 0
+        stack.append((v, True))
+        rule = rules[v]
+        if rule[0] not in (TERM, CAT, POW):
+            raise ValueError(f"unknown rule kind {rule[0]!r}")
+        if len(rule) != (2 if rule[0] == TERM else 3):
+            raise ValueError(f"rule {v} has {len(rule) - 1} arguments")
+        if rule[0] == CAT:
+            stack.append((rule[2], False))
+            stack.append((rule[1], False))
+        elif rule[0] == POW:
+            if rule[2] < 1:
+                raise ValueError("power exponent must be >= 1")
+            stack.append((rule[1], False))
+    return tuple(order)
 
 
 class SlpBuilder:
@@ -101,37 +110,23 @@ def slp_size(g: Slp) -> int:
     return len(g.rules)
 
 
+def rule_lengths(g: Slp) -> dict[int, int]:
+    """Expanded length of every rule in g.order, without expansion."""
+    length: dict[int, int] = {}
+    for v in g.order:
+        rule = g.rules[v]
+        if rule[0] == TERM:
+            length[v] = 1
+        elif rule[0] == CAT:
+            length[v] = length[rule[1]] + length[rule[2]]
+        else:
+            length[v] = length[rule[1]] * rule[2]
+    return length
+
+
 def slp_length(g: Slp) -> int:
     """Expanded length computed bottom-up without expansion."""
-    memo: dict[int, int] = {}
-
-    def length(v: int) -> int:
-        stack = [v]
-        while stack:
-            u = stack[-1]
-            if u in memo:
-                stack.pop()
-                continue
-            rule = g.rules[u]
-            if rule[0] == TERM:
-                memo[u] = 1
-                stack.pop()
-            elif rule[0] == CAT:
-                missing = [c for c in rule[1:] if c not in memo]
-                if missing:
-                    stack.extend(missing)
-                else:
-                    memo[u] = memo[rule[1]] + memo[rule[2]]
-                    stack.pop()
-            else:
-                if rule[1] in memo:
-                    memo[u] = memo[rule[1]] * rule[2]
-                    stack.pop()
-                else:
-                    stack.append(rule[1])
-        return memo[v]
-
-    return length(g.start)
+    return rule_lengths(g)[g.start]
 
 
 def slp_expand(g: Slp) -> list[int]:
@@ -156,40 +151,23 @@ def slp_expand(g: Slp) -> list[int]:
 def strict_binary(g: Slp) -> Slp:
     """Rewrite every power rule into O(log exponent) binary concatenations."""
     b = SlpBuilder()
-    memo: dict[int, int] = {}
-
-    def convert(v: int) -> int:
-        if v in memo:
-            return memo[v]
+    nid: dict[int, int] = {}
+    for v in g.order:
         rule = g.rules[v]
         if rule[0] == TERM:
-            nid = b.term(rule[1])
+            nid[v] = b.term(rule[1])
         elif rule[0] == CAT:
-            nid = b.cat(convert(rule[1]), convert(rule[2]))
+            nid[v] = b.cat(nid[rule[1]], nid[rule[2]])
         else:
-            base = convert(rule[1])
-            e = rule[2]
             # square-and-multiply over concatenation
+            e = rule[2]
             acc = None
-            sq = base
+            sq = nid[rule[1]]
             while e:
                 if e & 1:
                     acc = sq if acc is None else b.cat(acc, sq)
                 e >>= 1
                 if e:
                     sq = b.cat(sq, sq)
-            nid = acc
-        memo[v] = nid
-        return nid
-
-    # convert recurses once per rule on a path, so deep grammars run under a
-    # recursion limit raised to fit the rule count
-    import sys
-
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old, 4 * len(g.rules) + 100))
-    try:
-        start = convert(g.start)
-    finally:
-        sys.setrecursionlimit(old)
-    return b.build(start)
+            nid[v] = acc
+    return b.build(nid[g.start])

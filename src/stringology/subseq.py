@@ -114,9 +114,8 @@ def shortest_s_cover_naive(y: Sequence[int]) -> list[int]:
     """Shortest s-cover by exhaustive search over subsequences of y."""
     if len(y) > 18:
         raise SizeLimitError("shortest_s_cover_naive bounded at |y| <= 18")
-    candidates = sorted(all_subsequences(y))
     best = None
-    for cand in sorted(candidates, key=lambda c: (len(c), c)):
+    for cand in sorted(all_subsequences(y), key=lambda c: (len(c), c)):
         if not 1 <= len(cand) < len(y):
             continue
         if s_cover_check_naive(cand, y):

@@ -99,6 +99,8 @@ def test_gen_run_start_prints_arrangements_that_read_back():
     assert rc == 0 and json.loads(out)["value"] == ["-2,3", "3,-2"]
     rc, out = run_cli(["gen", "run", "heap", "2", "--start", "0,10"])
     assert rc == 0 and json.loads(out)["value"] == ["0,10", "10,0"]
+    rc, out = run_cli(["gen", "run", "heap", "2", "--start", "-1,2"])
+    assert rc == 0 and json.loads(out)["value"] == ["-1,2", "2,-1"]
 
 
 def test_json_output_shape():

@@ -69,6 +69,10 @@ def test_validation_rejects_cycles_and_missing_rules():
         Slp({0: ("cat", 1, 1)}, 0)
     with pytest.raises(ValueError):
         Slp({0: ("pow", 1, 0), 1: ("term", 3)}, 0)
+    with pytest.raises(ValueError):
+        Slp({0: ("cat", 1), 1: ("term", 3)}, 0)
+    with pytest.raises(ValueError):
+        Slp({0: ("sum", 1, 1), 1: ("term", 3)}, 0)
 
 
 def slp_from_word(x):
@@ -80,3 +84,48 @@ def slp_from_word(x):
 def test_slp_from_word_roundtrip():
     w = [3, 1, 4, 1, 5]
     assert slp_expand(slp_from_word(w)) == w
+
+
+def assert_children_first(g):
+    seen = set()
+    for v in g.order:
+        rule = g.rules[v]
+        children = rule[1:] if rule[0] == "cat" else rule[1:2] if rule[0] == "pow" else ()
+        assert v not in seen and all(c in seen for c in children)
+        seen.add(v)
+    assert g.order[-1] == g.start
+
+
+def test_order_lists_reachable_rules_once_children_first():
+    for kind in ("zaks", "knuthC", "heap", "ehrlich", "stj"):
+        for n in (2, 3, 5, 7):
+            assert_children_first(gen_sequence(kind, n))
+    # rule 3 is unreachable; left child before right, shared rule 0 once
+    g = Slp({0: ("term", 1), 1: ("term", 2), 2: ("cat", 1, 0), 3: ("term", 9),
+             4: ("cat", 2, 0), 5: ("pow", 4, 3)}, 5)
+    assert g.order == (1, 0, 2, 4, 5)
+    assert_children_first(g)
+
+
+def test_order_leaves_equality_and_repr_alone():
+    g = Slp({0: ("term", 1)}, 0)
+    assert g == Slp({0: ("term", 1)}, 0)
+    assert repr(g) == "Slp(rules={0: ('term', 1)}, start=0)"
+
+
+def test_deep_chain_without_recursion():
+    # a left-leaning chain of 20 000 concatenations, far deeper than the
+    # default recursion limit: length and the strict rewrite walk it in one pass
+    import sys
+
+    limit = sys.getrecursionlimit()
+    b = SlpBuilder()
+    one = b.term(1)
+    node = one
+    for _ in range(20_000):
+        node = b.cat(node, one)
+    g = b.build(node)
+    assert slp_length(g) == 20_001
+    sb = strict_binary(g)
+    assert sb.rules == g.rules and sb.start == g.start
+    assert sys.getrecursionlimit() == limit
