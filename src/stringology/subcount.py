@@ -3,29 +3,31 @@ independent ways."""
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 from .suffixtree import SuffixTree, suffix_tree
 
 
 def dif_table_marking(tree: SuffixTree) -> list[int]:
-    """Walk up from each suffix leaf in order, summing unmarked edge weights."""
+    """Walk up from each suffix leaf in order, marking nodes, to the first
+    node already marked: suffix k's new factors are the n - k symbols on its
+    path less that node's depth."""
     n = tree.n
+    parent, depth, label = tree.parent, tree.depth, tree.suffix_label
     leaf_of = [0] * n
-    for v, k in enumerate(tree.suffix_label):
+    for v, k in enumerate(label):
         if k >= 0:
             leaf_of[k] = v
-    marked = [False] * len(tree.parent)
+    marked = [False] * len(parent)
     marked[0] = True
     dif = [0] * n
     for k in range(n):
         v = leaf_of[k]
-        total = 0
         while not marked[v]:
             marked[v] = True
-            total += tree.end[v] - tree.start[v]
-            v = tree.parent[v]
-        dif[k] = total
+            v = parent[v]
+        dif[k] = n - k - depth[v]
     return dif
 
 
@@ -52,9 +54,4 @@ def sub_table(word: Sequence[int]) -> tuple[list[int], list[int]]:
     non-empty factors with an occurrence starting at or before k."""
     tree = suffix_tree(word)
     dif = dif_table_marking(tree)
-    sub = []
-    acc = 0
-    for d in dif:
-        acc += d
-        sub.append(acc)
-    return sub, dif
+    return list(accumulate(dif)), dif

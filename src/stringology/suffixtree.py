@@ -2,9 +2,11 @@
 
 Construction is one pass of Ukkonen's on-line algorithm (Ukkonen, "On-line
 construction of suffix trees", Algorithmica 1995) that records each node's
-string depth and leaf label as the node is made; ``order`` is the nodes
-sorted by depth.  ``oracles.suffix_tree_shape`` builds the same tree by
-grouping suffixes; the tests and the selftest compare the two.
+string depth and leaf label as the node is made.  ``order``, the nodes
+sorted by depth, is sorted on first read and then kept, so a caller that
+never reads it does not pay for the sort.  ``oracles.suffix_tree_shape``
+builds the same tree by grouping suffixes; the tests and the selftest
+compare the two.
 ``SuffixTree.lexicographic`` reads the suffix array, its inverse and each
 node's leaf range off the tree on demand; ``oracles.suffix_array`` sorts the
 suffixes instead.
@@ -12,6 +14,7 @@ suffixes instead.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 
@@ -33,11 +36,11 @@ class SuffixTree:
     (-1 on the root and internal nodes), all filled in by one pass of
     Ukkonen's loop.  ``order`` lists every node once, the root first and
     each parent before its children; siblings come in no particular symbol
-    order."""
+    order.  It is sorted on first read and then kept."""
 
     def __init__(self, word: Sequence[int]):
         base = list(word)
-        if any(s < 0 for s in base):
+        if base and min(base) < 0:
             raise ValueError("symbols must be non-negative")
         self.sentinel = (max(base) + 1) if base else 0
         self.text = text = base + [self.sentinel]
@@ -118,8 +121,11 @@ class SuffixTree:
                     act_edge = i - remainder + 1
                 else:
                     act_node = slink[act_node]
+
+    @cached_property
+    def order(self) -> list[int]:
         # a parent is strictly shallower than its children; the root has depth 0
-        self.order: list[int] = sorted(range(len(parent)), key=depth.__getitem__)
+        return sorted(range(len(self.parent)), key=self.depth.__getitem__)
 
     def is_leaf(self, v: int) -> bool:
         return self.suffix_label[v] >= 0

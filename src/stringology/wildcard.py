@@ -32,7 +32,7 @@ from .words import HOLE
 class WildcardIndex:
     def __init__(self, word: Iterable[int]):
         word = list(word)  # read once: the hole check must not use up an iterator
-        if any(s == HOLE for s in word):
+        if HOLE in word:
             raise ValueError("text must not contain holes")
         self.tree: SuffixTree = suffix_tree(word)
         tree = self.tree
@@ -40,8 +40,7 @@ class WildcardIndex:
         self.lo, self.hi = lo, hi  # a query's locus u is the rank range [lo[u], hi[u])
         self.heavy: dict[int, int] = {}
         self.side: dict[int, list[int]] = {}
-        for v in tree.order:
-            kids = tree.children[v]
+        for v, kids in enumerate(tree.children):
             if not kids:
                 continue
             size = 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 from stringology import oracles
@@ -39,6 +40,16 @@ def test_dif_table_matches_first_occurrence_oracle():
         want = oracles.dif_table(w)
         assert dif_table_marking(t) == want
         assert dif_table_minleaf(t) == want
+
+
+def test_dif_tables_agree_on_every_short_word():
+    words = [list(w) for n in range(13) for w in itertools.product(range(2), repeat=n)]
+    words += [list(w) for n in range(8) for w in itertools.product(range(3), repeat=n)]
+    for w in words:
+        t = suffix_tree(w)
+        dif = dif_table_marking(t)
+        assert dif == dif_table_minleaf(t) == oracles.dif_table(w), w
+        assert sub_table(w) == ([sum(dif[:k + 1]) for k in range(len(dif))], dif), w
 
 
 def test_total_matches_factor_enumeration():

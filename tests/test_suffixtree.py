@@ -2,6 +2,7 @@ import random
 
 from stringology import oracles
 from stringology.selftest import assert_tree_bookkeeping, edge_word, leaves_below, tree_shape
+from stringology.subcount import dif_table_marking
 from stringology.suffixtree import suffix_tree
 from stringology.words import fibonacci_word, thue_morse
 
@@ -78,6 +79,17 @@ def test_depths_labels_and_order_are_consistent():
         words.append([rng.randrange(sigma) for _ in range(rng.randint(0, 400))])
     for w in words:
         assert_tree_bookkeeping(suffix_tree(w))
+
+
+def test_order_is_sorted_on_first_read_and_kept():
+    for w in ([], [0] * 9, thue_morse(6), fibonacci_word(9), [2, 0, 1, 1, 0, 2, 2]):
+        tree = suffix_tree(w)
+        dif_table_marking(tree)
+        assert "order" not in vars(tree)  # building and counting never sort
+        order = tree.order
+        assert order == sorted(range(len(tree.parent)), key=tree.depth.__getitem__)
+        assert_tree_bookkeeping(tree)
+        assert tree.order is order
 
 
 def test_inorder_leaves_form_the_suffix_array():

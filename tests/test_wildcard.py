@@ -5,7 +5,8 @@ import random
 import pytest
 
 from stringology.oracles import approx_occurs
-from stringology.selftest import assert_side_ranks_match_definition, leaves_below
+from stringology.selftest import (
+    assert_side_ranks_match_definition, assert_tree_bookkeeping, leaves_below)
 from stringology.wildcard import wildcard_index, wildcard_search
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
@@ -78,6 +79,13 @@ def test_heavy_edges_unique_and_light_ancestor_bound():
                     light_ancestors += 1
                 v = p
             assert light_ancestors <= bound
+
+
+def test_index_build_leaves_the_depth_order_unsorted():
+    for w in ([], [0] * 9, thue_morse(6), fibonacci_word(9)):
+        tree = wildcard_index(w).tree
+        assert "order" not in vars(tree)
+        assert_tree_bookkeeping(tree)  # reads and checks the order
 
 
 def test_side_trie_strings_match_definition():
