@@ -12,7 +12,9 @@ symbol is an error, there too, except in the integer sequences of the
 `cartesian` verbs.  Output is one JSON object per line ({ok, value, meta})
 unless --plain is given.  Exit status: 0 ok, 1 for domain-level "no"
 answers, 2 for errors.  Every error, a usage error included, is still exactly
-one {ok: false} line, and batch mode goes on with the next line.
+one {ok: false} line, and batch mode goes on with the next line.  So is an
+answer too large to print: Python converts an int of at most 4300 digits to a
+string (sys.get_int_max_str_digits), and the CLI leaves that limit alone.
 """
 
 from __future__ import annotations
@@ -516,19 +518,16 @@ def covered_operations() -> list[str]:
     return [op for cmd in REGISTRY for op in cmd.ops]
 
 
-def _emit(ok: bool, value, meta, plain: bool, stream) -> None:
-    if plain:
-        if isinstance(value, (list, tuple)):
-            for item in value:
-                print(item, file=stream)
-        elif isinstance(value, dict):
-            for k, v in value.items():
-                print(f"{k}: {v}", file=stream)
-        else:
-            print(value, file=stream)
-    else:
-        print(json.dumps({"ok": ok, "value": value, "meta": meta}, default=str),
-              file=stream)
+def _render(ok: bool, value, meta, plain: bool) -> str:
+    """The whole output of one command: its JSON line or, under --plain, one
+    line per list item or dict entry (none for an empty list)."""
+    if not plain:
+        return json.dumps({"ok": ok, "value": value, "meta": meta}, default=str) + "\n"
+    if isinstance(value, dict):
+        value = [f"{k}: {v}" for k, v in value.items()]
+    elif not isinstance(value, (list, tuple)):
+        value = [value]
+    return "".join(f"{item}\n" for item in value)
 
 
 def _split(cmd: Command, tokens: list[str]) -> tuple[list[str], dict]:
@@ -585,17 +584,21 @@ def _run(tokens: list[str]) -> tuple:
     return ok, value, {cmd.meta: len(result)} if cmd.meta else {}
 
 
-def _dispatch_tokens(tokens: list[str], plain: bool, stream) -> int:
-    """Run one command line and write exactly one result line."""
-    plain = plain or "--plain" in tokens
+def _respond(line: str | list[str], plain: bool) -> tuple[int, str]:
+    """Split a batch line (argv comes split), run it and render its output:
+    exit status and exactly one result, whatever fails on the way."""
     try:
-        ok, value, meta = _run(tokens)
+        if isinstance(line, str):
+            try:
+                line = shlex.split(line)
+            except ValueError as exc:  # unbalanced quotes
+                raise UsageError(str(exc)) from None
+        plain = plain or "--plain" in line
+        ok, value, meta = _run(line)
+        return 0 if ok else 1, _render(ok, value, meta, plain)
     except Exception as exc:  # every failure is one {ok: false} line, never a crash
         text = str(exc) if isinstance(exc, UsageError) else f"{type(exc).__name__}: {exc}"
-        _emit(False, text, {}, plain, stream)
-        return 2
-    _emit(ok, value, meta, plain, stream)
-    return 0 if ok else 1
+        return 2, _render(False, text, {}, plain)
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -607,13 +610,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            try:
-                tokens = shlex.split(line)
-            except ValueError as exc:  # unbalanced quotes
-                _emit(False, str(exc), {}, plain, sys.stdout)
-                worst = 2
-                continue
-            worst = max(worst, _dispatch_tokens(tokens, plain, sys.stdout))
+            rc, text = _respond(line, plain)
+            sys.stdout.write(text)
+            worst = max(worst, rc)
         return worst
     if not argv or argv in (["-h"], ["--help"]):
         areas = {}
@@ -625,7 +624,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"  {area}: {', '.join(sorted(areas[area]))}")
         print("  batch: read one command per line from stdin")
         return 0
-    return _dispatch_tokens(argv, False, sys.stdout)
+    rc, text = _respond(argv, False)
+    sys.stdout.write(text)
+    return rc
 
 
 if __name__ == "__main__":

@@ -140,73 +140,29 @@ def is_primitive(p: Gf2Poly) -> bool:
     return False
 
 
-def companion_matrix(spec: LfsrSpec) -> list[int]:
-    """Rows as bit masks; column i (1-based) holds x**i mod the polynomial."""
-    n = spec.degree
-    mod = poly_of_spec(spec).bits
-    cols = [_x_power_mod(i, mod, n) for i in range(1, n + 1)]
-    rows = []
-    for r in range(n):
-        acc = 0
-        for c in range(n):
-            # row r, column c holds the coefficient of x**r in x**(c+1)
-            if (cols[c] >> r) & 1:
-                acc |= 1 << (n - 1 - c)
-        rows.append(acc)
-    return rows
-
-
-def _mat_mul(a: list[int], b: list[int], n: int) -> list[int]:
-    bt = []
-    for c in range(n):
-        acc = 0
-        for r in range(n):
-            if (b[r] >> (n - 1 - c)) & 1:
-                acc |= 1 << (n - 1 - r)
-        bt.append(acc)
-    out = []
-    for r in range(n):
-        acc = 0
-        for c in range(n):
-            if bin(a[r] & bt[c]).count("1") & 1:
-                acc |= 1 << (n - 1 - c)
-        out.append(acc)
-    return out
-
-
 def nth_gen_word(spec: LfsrSpec, m: int, method: str = "matrix") -> list[int]:
-    """The m-th window of the generator, without expanding the stream.
+    """The m-th window of the generator, without expanding the stream: x**m
+    modulo the register's polynomial by square and multiply, then n shifts.
 
-    Needs a non-singular register (constant tap set): the identification of
-    windows with powers of x breaks down when x divides the polynomial.
+    ``method`` is "matrix" or "poly"; both names compute the same window this
+    one way.  Needs a non-singular register (constant tap set): the
+    identification of windows with powers of x breaks down when x divides the
+    polynomial.
     """
     n = spec.degree
     if not spec.taps[0]:
         raise ValueError("nth_gen_word needs taps[0] == 1")
     if not 1 <= m <= (1 << n) - 1:
         raise ValueError("need 1 <= m <= 2**n - 1")
-    if method == "matrix":
-        base = companion_matrix(spec)
-        result = None
-        sq = base
-        e = m
-        while e:
-            if e & 1:
-                result = sq if result is None else _mat_mul(result, sq, n)
-            e >>= 1
-            if e:
-                sq = _mat_mul(sq, sq, n)
-        row = result[0]
-        return [(row >> (n - 1 - i)) & 1 for i in range(n)]
-    if method == "poly":
-        mod = poly_of_spec(spec).bits
-        cur = _x_power_mod(m, mod, n)
-        out = []
-        for _ in range(n):
-            out.append(cur & 1)  # constant coefficient tops the column
-            cur = _poly_mod_mul(cur, 2, mod, n)
-        return out
-    raise ValueError("method must be 'matrix' or 'poly'")
+    if method not in ("matrix", "poly"):
+        raise ValueError("method must be 'matrix' or 'poly'")
+    mod = poly_of_spec(spec).bits
+    cur = _x_power_mod(m, mod, n)
+    out = []
+    for _ in range(n):
+        out.append(cur & 1)  # constant coefficient tops the column
+        cur = _poly_mod_mul(cur, 2, mod, n)
+    return out
 
 
 def debruijn_two_cycles(p: Gf2Poly) -> tuple[list[int], list[int]]:

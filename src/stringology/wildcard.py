@@ -44,10 +44,10 @@ class WildcardIndex:
             if not kids:
                 continue
             size = 0
-            for sym in sorted(kids):  # ties resolved toward the smaller edge symbol
-                child = kids[sym]
-                if hi[child] - lo[child] > size:
-                    best, h, size = sym, child, hi[child] - lo[child]
+            for sym, child in kids.items():  # ties resolved toward the smaller edge symbol
+                leaves = hi[child] - lo[child]
+                if leaves > size or leaves == size and sym < best:
+                    best, h, size = sym, child, leaves
             self.heavy[v] = best
             # v-to-leaf spells the suffix past depth(v); strip a letter.  The
             # heavy child's leaves are a block of v's leaves in suffix order.

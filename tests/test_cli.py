@@ -273,6 +273,24 @@ def test_hamming_r_zero_is_rejected_not_defaulted():
 def test_lfsr_gen_limit_zero_lists_nothing():
     rc, out = run_cli(["lfsr", "gen", "110", "--limit", "0"])
     assert rc == 0 and json.loads(out)["value"] == []
+    rc, out = run_cli(["lfsr", "gen", "101", "--limit", "0", "--plain"])
+    assert rc == 0 and out == ""  # an empty list is no lines, not an empty one
+
+
+# answers past Python's 4300-digit limit on int-to-string conversion
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+                    reason="needs Python's default int-to-string digit limit")
+@pytest.mark.parametrize("line", ["subs max 25000", "unbordered counts 15000",
+                                  "unbordered palprefix3 10000"])
+def test_an_answer_too_large_to_print_is_one_error_line(line, capsys):
+    for plain in ([], ["--plain"]):
+        rc, out = run_cli(line.split() + plain)
+        [text] = out.splitlines()
+        assert rc == 2 and (plain or json.loads(text)["ok"] is False)
+    rc, out = run_cli(["batch"], stdin=line + "\nword thue-morse 3\n")
+    first, second = out.splitlines()
+    assert rc == 2 and json.loads(first)["ok"] is False and "abbabaab" in second
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [["lfsr", "gen", "110", "--limit"],
@@ -319,7 +337,7 @@ def test_double_dash_ends_the_options():
 
 def test_options_reach_the_library_default_when_absent():
     rc, out = run_cli(["lfsr", "nth", "10100", "6", "--plain"])
-    assert rc == 0 and out.strip() == "00101"  # method "matrix"
+    assert rc == 0 and out.strip() == "00101"  # nth_gen_word's default method
     rc, out = run_cli(["lfsr", "nth", "10100", "6", "--method", "bogus"])
     assert rc == 2 and "method must be" in json.loads(out)["value"]
 

@@ -5,7 +5,6 @@ import pytest
 from stringology.gf2 import (
     Gf2Poly,
     LfsrSpec,
-    companion_matrix,
     cycle_nodes,
     debruijn_two_cycles,
     is_primitive,
@@ -65,13 +64,6 @@ def test_nth_gen_word_examples():
         nth_gen_word(spec, 32)
     with pytest.raises(ValueError):
         nth_gen_word(spec, 3, "fft")
-
-
-def test_companion_matrix_first_rows():
-    # first rows of successive powers reproduce the generator
-    spec = LfsrSpec((1, 0, 1, 0, 0))
-    a = companion_matrix(spec)
-    assert [(a[0] >> (5 - 1 - i)) & 1 for i in range(5)] == bits("00001")
 
 
 def test_nth_methods_agree_with_direct_generation():

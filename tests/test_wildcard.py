@@ -66,7 +66,9 @@ def test_heavy_edges_unique_and_light_ancestor_bound():
         bound = math.ceil(math.log2(tree.n)) + 1
         for v in range(len(tree.parent)):
             if tree.children[v]:
-                assert idx.heavy[v] in tree.children[v]
+                # the most leaves, the smallest symbol on a tie
+                size = {sym: len(leaves_below(tree, c)) for sym, c in tree.children[v].items()}
+                assert idx.heavy[v] == min(size, key=lambda sym: (-size[sym], sym))
         for leaf in range(len(tree.parent)):
             if not tree.is_leaf(leaf):
                 continue
