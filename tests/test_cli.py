@@ -287,6 +287,8 @@ def test_an_answer_too_large_to_print_is_one_error_line(line, capsys):
         rc, out = run_cli(line.split() + plain)
         [text] = out.splitlines()
         assert rc == 2 and (plain or json.loads(text)["ok"] is False)
+        assert "answer too large to print: over 4300 digits" in text
+        assert "set_int_max_str_digits" not in text
     rc, out = run_cli(["batch"], stdin=line + "\nword thue-morse 3\n")
     first, second = out.splitlines()
     assert rc == 2 and json.loads(first)["ok"] is False and "abbabaab" in second

@@ -6,9 +6,7 @@ import pytest
 from stringology.freeband import Quadruple, idempotent_equivalent, psi
 from stringology.oracles import band_signature, rewrite_closure_classes
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
+from helpers import letters
 
 
 def test_psi_worked_example():

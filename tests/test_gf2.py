@@ -16,9 +16,7 @@ from stringology.gf2 import (
 )
 from stringology.rings import cyclic_factors
 
-
-def bits(s):
-    return [int(c) for c in s]
+from helpers import bits
 
 
 def test_lfsr_examples():
@@ -101,15 +99,6 @@ def test_primitive_trinomial_list():
     for exps in ([3, 1, 0], [4, 1, 0], [5, 2, 0], [6, 1, 0], [7, 1, 0],
                  [9, 4, 0], [10, 3, 0], [11, 2, 0], [15, 1, 0]):
         assert is_primitive(Gf2Poly.from_exponents(exps)), exps
-
-
-def test_pn_iff_primitive_exhaustive():
-    for n in range(2, 9):
-        for mask in range(1, 1 << n):
-            taps = tuple((mask >> i) & 1 for i in range(n))
-            windows = lfsr_gen(LfsrSpec(taps))
-            distinct = len({tuple(w) for w in windows}) == len(windows)
-            assert distinct == is_primitive(Gf2Poly((1 << n) | mask))
 
 
 def test_two_cycles_golden():

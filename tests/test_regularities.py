@@ -5,7 +5,6 @@ import random
 import pytest
 
 from stringology.oracles import (
-    anticover_exists_bruteforce,
     attractor_refinement,
     factor_search,
     hole_word_local_periods,
@@ -23,9 +22,7 @@ from stringology.regularities import (
 from stringology.rle import rle_decode, rle_encode
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
+from helpers import letters
 
 
 def tightness_example():
@@ -98,15 +95,6 @@ def test_attractor_construct_values():
     assert attractor_construct("fibonacci", 5) == {6, 7}
 
 
-def test_attractor_construct_verified():
-    for k in range(4, 9):
-        assert is_attractor(thue_morse(k), attractor_construct("thue_morse", k))
-    for k in range(2, 12):
-        att = attractor_construct("fibonacci", k)
-        assert len(att) == 2
-        assert is_attractor(fibonacci_word(k), att)
-
-
 def test_attractor_construct_thresholds():
     with pytest.raises(ValueError):
         attractor_construct("thue_morse", 3)
@@ -165,16 +153,6 @@ def test_anticover_examples():
     assert two_anticover(letters("abaababbaab")) is None
 
 
-def test_anticover_matches_bruteforce_small():
-    for n in range(2, 12):
-        for mask in range(1 << n):
-            x = [(mask >> i) & 1 for i in range(n)]
-            got = two_anticover(x)
-            assert (got is not None) == anticover_exists_bruteforce(x)
-            if got is not None:
-                assert anticover_is_valid(x, got)
-
-
 def test_anticover_needs_two_letters():
     with pytest.raises(ValueError):
         two_anticover([0])
@@ -188,13 +166,6 @@ def test_rle_cover_examples():
     assert naive_shortest_cover([1, 0, 1, 1, 0, 1, 1, 0, 1]) == 3
     assert rle_shortest_cover(rle_encode([1, 0, 1])) == 3
     assert rle_shortest_cover(rle_encode([1] * 9)) == 1
-
-
-def test_rle_cover_exhaustive_small():
-    for n in range(1, 13):
-        for mask in range(1 << (n - 1)):
-            w = [1] + [(mask >> i) & 1 for i in range(n - 1)]
-            assert rle_shortest_cover(rle_encode(w)) == naive_shortest_cover(w)
 
 
 def test_rle_cover_large_exponents():

@@ -8,9 +8,7 @@ from stringology.rings import (
     _phi_lift,
 )
 
-
-def bits(s):
-    return [int(c) for c in s]
+from helpers import bits
 
 
 def test_ring_checker_examples():
@@ -39,14 +37,6 @@ def test_chain_edges_are_connected_and_distinct():
             mask = (1 << (k - 1)) - 1
             for e, f in zip(chain, chain[1:] + chain[:1]):
                 assert (e & mask) == (f >> 1)
-
-
-def test_ring_words_all_admissible():
-    for k in range(1, 7):
-        for n in range(k, (1 << k) + 1):
-            w = ring_word(n, k)
-            assert len(w) == n
-            assert is_ring_word(w, k)
 
 
 def test_full_length_gives_de_bruijn_word():

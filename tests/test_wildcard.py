@@ -10,9 +10,7 @@ from stringology.selftest import (
 from stringology.wildcard import wildcard_index, wildcard_search
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
+from helpers import letters
 
 
 def test_exact_patterns_degenerate_to_descent():

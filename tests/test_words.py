@@ -17,9 +17,7 @@ from stringology.words import (
     zarray,
 )
 
-
-def letters(s):
-    return [ord(c) - ord("a") for c in s]
+from helpers import letters
 
 
 def test_thue_morse_values():
