@@ -519,13 +519,16 @@ def covered_operations() -> list[str]:
     return [op for cmd in REGISTRY for op in cmd.ops]
 
 
+_JSON = json.JSONEncoder(default=str)  # built once; json.dumps(default=str) builds one per call
+
+
 def _render(ok: bool, value, meta, plain: bool) -> str:
     """The whole output of one command: its JSON line or, under --plain, one
     line per list item or dict entry (none for an empty list).  An int past
     the interpreter's int-to-string limit is a UsageError."""
     try:
         if not plain:
-            return json.dumps({"ok": ok, "value": value, "meta": meta}, default=str) + "\n"
+            return _JSON.encode({"ok": ok, "value": value, "meta": meta}) + "\n"
         if isinstance(value, dict):
             value = [f"{k}: {v}" for k, v in value.items()]
         elif not isinstance(value, (list, tuple)):

@@ -373,6 +373,12 @@ def _wildcard_def():
     for _ in range(40):
         n = rng.randint(1, 64)
         assert_side_ranks_match_definition([rng.randrange(2) for _ in range(n)])
+    # a unary word has one light leaf at every node, the empty word none
+    for n in range(65):
+        assert_side_ranks_match_definition([0] * n)
+    for _ in range(40):
+        n = rng.randint(1, 64)
+        assert_side_ranks_match_definition([rng.randrange(4) for _ in range(n)])
 
 
 @check("wildcard search vs naive scan (random texts)", "fast")

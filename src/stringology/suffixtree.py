@@ -131,30 +131,32 @@ class SuffixTree:
         return self.suffix_label[v] >= 0
 
     def lexicographic(self) -> LexOrder:
-        """One preorder visiting children in symbol order."""
-        children, label, parent = self.children, self.suffix_label, self.parent
-        lo = [0] * len(parent)
-        hi = [0] * len(parent)
+        """One preorder visiting children in symbol order: each internal node
+        keeps one iterator over its sorted children on the stack, and a leaf
+        child is ranked where the iterator reaches it, never pushed."""
+        children, label = self.children, self.suffix_label
+        lo = [0] * len(label)
+        hi = [0] * len(label)
         sa = [0] * self.n
         rank = [0] * self.n
         r = 0  # leaves visited so far
-        stack = [0]
+        path = [0]  # the root is never a leaf
+        stack = [iter(sorted(children[0].items()))]  # one iterator per node on path
         while stack:
-            v = stack.pop()
-            if v < 0:  # every node below ~v has been visited
-                hi[~v] = r
-                continue
-            lo[v] = r
-            s = label[v]
-            if s >= 0:
+            for _, c in stack[-1]:
+                lo[c] = r
+                s = label[c]
+                if s < 0:  # descend; the parent's iterator resumes once c is done
+                    path.append(c)
+                    stack.append(iter(sorted(children[c].items())))
+                    break
                 sa[r] = s
                 rank[s] = r
                 r += 1
-                hi[v] = r
-            else:
-                kids = children[v]
-                stack.append(~v)
-                stack.extend([kids[c] for c in sorted(kids, reverse=True)])
+                hi[c] = r
+            else:  # every node below the top of path has been visited
+                stack.pop()
+                hi[path.pop()] = r
         return LexOrder(sa, rank, lo, hi)
 
 

@@ -17,7 +17,10 @@ Lewenstein, Lewenstein and Rodeh ("Text indexing and dictionary matching
 with one error", J. Algorithms 2000).  The lists are read off the suffix
 tree's leaf order; no two suffixes are compared symbol by symbol, so the
 build does not slow down on the long shared prefixes of Thue-Morse or
-Fibonacci words.
+Fibonacci words.  A node with one light leaf gets that leaf's rank as its
+list with no slice or sort; on a unary word every node takes that path.
+A query reads the tree's arrays into locals once per descent, so each
+pattern symbol costs one child lookup or one text read.
 """
 
 from __future__ import annotations
@@ -36,10 +39,12 @@ class WildcardIndex:
             raise ValueError("text must not contain holes")
         self.tree: SuffixTree = suffix_tree(word)
         tree = self.tree
+        n, depth = tree.n, tree.depth
         sa, rank, lo, hi = tree.lexicographic()
         self.lo, self.hi = lo, hi  # a query's locus u is the rank range [lo[u], hi[u])
         self.heavy: dict[int, int] = {}
         self.side: dict[int, list[int]] = {}
+        heavy, side = self.heavy, self.side
         for v, kids in enumerate(tree.children):
             if not kids:
                 continue
@@ -48,15 +53,20 @@ class WildcardIndex:
                 leaves = hi[child] - lo[child]
                 if leaves > size or leaves == size and sym < best:
                     best, h, size = sym, child, leaves
-            self.heavy[v] = best
+            heavy[v] = best
             # v-to-leaf spells the suffix past depth(v); strip a letter.  The
             # heavy child's leaves are a block of v's leaves in suffix order.
-            shift = tree.depth[v] + 1
-            light = sa[lo[v]:lo[h]] + sa[hi[h]:hi[v]]
+            shift = depth[v] + 1
+            a, b, c, d = lo[v], lo[h], hi[h], hi[v]
+            if b - a + d - c == 1:  # a lone light leaf: one rank, nothing to sort
+                s = sa[a] if a < b else sa[c]
+                side[v] = [rank[s + shift]] if s + shift < n else []
+                continue
+            light = sa[a:b] + sa[c:d]
             # the sentinel child, when light, is v's last leaf: the empty suffix
-            if light and light[-1] + shift == tree.n:
+            if light and light[-1] + shift == n:
                 light.pop()
-            self.side[v] = sorted([rank[s + shift] for s in light])
+            side[v] = sorted([rank[s + shift] for s in light])
 
     def node_count(self) -> int:
         return len(self.tree.parent) + sum(map(len, self.side.values()))
@@ -69,16 +79,17 @@ def wildcard_index(word: Iterable[int]) -> WildcardIndex:
 def _descend_exact(tree: SuffixTree, node: int, offset: int,
                    pat: Sequence[int]) -> tuple[int, int] | None:
     """Continue an exact descent from the locus (node, symbols left on its
-    incoming edge); return the locus reached, or None if pat leaves the tree."""
+    incoming edge); return the locus reached, or None if pat leaves the tree.
+    One child lookup or one text read per symbol, on arrays held in locals."""
+    children, start, end, text = tree.children, tree.start, tree.end, tree.text
     v, off = node, offset
     for c in pat:
         if off == 0:
-            child = tree.children[v].get(c)
-            if child is None:
+            v = children[v].get(c)
+            if v is None:
                 return None
-            v = child
-            off = tree.end[v] - tree.start[v] - 1
-        elif tree.text[tree.end[v] - off] == c:
+            off = end[v] - start[v] - 1
+        elif text[end[v] - off] == c:
             off -= 1
         else:
             return None
@@ -87,8 +98,8 @@ def _descend_exact(tree: SuffixTree, node: int, offset: int,
 
 def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
     """Does the pattern (at most one hole) occur in the indexed word?"""
-    holes = [i for i, c in enumerate(pattern) if c == HOLE]
-    if len(holes) > 1:
+    holes = pattern.count(HOLE)
+    if holes > 1:
         raise ValueError("at most one hole supported")
     if not pattern:
         return True
@@ -99,7 +110,7 @@ def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
         return False  # out-of-alphabet symbols never occur in the text
     if not holes:
         return _descend_exact(tree, 0, 0, pattern) is not None
-    h = holes[0]
+    h = pattern.index(HOLE)
     locus = _descend_exact(tree, 0, 0, pattern[:h])  # exact part before the hole
     if locus is None:
         return False

@@ -43,6 +43,17 @@ def test_negative_pattern_symbols_other_than_hole_rejected(pattern):
         wildcard_search(idx, pattern)
 
 
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_pattern_checks_run_in_order(kind):
+    # hole count, then negative symbols, then the alphabet
+    idx = wildcard_index(letters("abaab"))
+    with pytest.raises(ValueError, match="at most one hole"):
+        wildcard_search(idx, kind([HOLE, HOLE, -3]))
+    with pytest.raises(ValueError, match="non-negative"):
+        wildcard_search(idx, kind([0, -2]))
+    assert wildcard_search(idx, kind([HOLE, 9])) is False
+
+
 def test_unary_word_side_tries_trivial():
     n = 12
     idx = wildcard_index([0] * n)
