@@ -7,9 +7,11 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .words import SizeLimitError
 
 _EVEN4 = {(0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1)}
 _RANDOM_TRIES_MAX = 10 ** 6
+_UNBORDERED_MAX = 2 * 10 ** 4
 
 
 def _mu_inverse(x: Sequence[int]) -> list[int] | None:
@@ -191,9 +193,14 @@ def recover_square(x: Sequence[int], z: Sequence[int], *,
 
 def unbordered_counts(n: int) -> tuple[list[int], list[int], list[int]]:
     """(u, v, t): unbordered binary words, words without nontrivial even
-    palindromic prefix, and without nontrivial odd palindromic prefix."""
-    if n < 0 or n > 10 ** 6:
-        raise ValueError("need 0 <= n <= 10**6")
+    palindromic prefix, and without nontrivial odd palindromic prefix.
+
+    The m-th count has about m bits, and v shares u's numbers, so the
+    lists hold about 3n²/32 bytes: 38 MB at the cap of 2·10^4."""
+    if n < 0:
+        raise ValueError("need n >= 0")
+    if n > _UNBORDERED_MAX:
+        raise SizeLimitError(f"unbordered_counts bounded at n <= {_UNBORDERED_MAX}")
     u = [0] * (n + 1)
     u[0] = 1
     if n >= 1:

@@ -6,7 +6,6 @@ from __future__ import annotations
 from typing import Sequence
 
 from .rle import Run, check_runs, rle_length, rle_validate
-from .suffixtree import suffix_tree
 from .twosat import TwoSatFormula, two_sat_solve
 from .words import HOLE, approx_eq, fibonacci_word, zarray
 
@@ -17,38 +16,93 @@ def is_attractor(x: Sequence[int], positions: set[int] | Sequence[int]) -> bool:
     """True iff every distinct factor has an occurrence crossing one of the
     positions (Kempa and Prezza, STOC 2018).
 
-    A factor is a node v of the suffix tree and a length on v's edge; its
-    occurrences start at the leaf labels below v.  The shortest factor on
-    the edge, of length depth(parent) + 1, is the hardest to capture, so Γ is
-    an attractor exactly when each non-root node whose edge does not start
-    with the sentinel has a leaf i below it with next_Γ(i) - i <=
-    depth(parent).  One bottom-up pass over ``tree.order`` carries the least
-    such gap up.  This is the one production reader of ``tree.order``, so
-    it pays the depth sort (O(n log n), done in C) before its O(n) pass.
-    At 2^10 the tree build is about 3/4 of a call and the sort about 1/10.
-    Negative symbols, HOLE among them, are rejected by the tree."""
+    The distinct factors are the nodes of the suffix tree of x, each with
+    the lengths on its edge; the internal nodes are the LCP intervals of
+    the suffix array, a node's depth the interval's LCP (Abouelhoda, Kurtz
+    and Ohlebusch, 2004), and a leaf's parent depth d is the larger LCP of
+    its suffix with its two neighbours.  Every length on a node's edge
+    occurs at the same starts i, the leaves below it, and an occurrence of
+    length L at i crosses Γ iff next_Γ(i) - i < L.  So the shortest length,
+    depth(parent) + 1, is the hardest to capture, and Γ is an attractor iff
+    each node but the root has a leaf i below it with next_Γ(i) - i <=
+    depth(parent).  Counting n in Γ changes no answer, since no occurrence
+    reaches it, and bounds next_Γ(i) - i by n - i.  A leaf whose suffix is
+    a prefix of a neighbour (n - i = d) has no edge and no factor of its
+    own, and that bound passes it; its gap still counts for the intervals
+    around it.
+
+    The suffix array is Python's sort of the byte suffixes, with each
+    symbol's dense rank written as w big-endian bytes (w = 1 up to 256
+    symbols, and at most 2 under the cap).  The sorted keys hold about
+    n²·w/2 bytes while the sort runs: 12.5 MB at the cap for w = 1.
+    Kasai's method (Kasai et al., CPM 2001) gives the LCPs, and one
+    bottom-up stack pass over the intervals, each held as (depth, least
+    gap), stops at the first failure.  Negative symbols, HOLE among them,
+    are rejected."""
     n = len(x)
     if n > _ATTRACTOR_MAX:
         raise ValueError(f"is_attractor bounded at |x| <= {_ATTRACTOR_MAX}")
     pos = sorted(set(positions))
     if pos and (pos[0] < 0 or pos[-1] >= n):
         raise ValueError("attractor position out of range")
-    tree = suffix_tree(x)
-    far = n + 1  # beyond every string depth: no position at or after i
-    gap = [far] * (n + 1)  # gap[i] = next_Γ(i) - i for each leaf label i
+    alphabet = sorted(set(x))
+    if alphabet and alphabet[0] < 0:
+        raise ValueError("symbols must be non-negative")
+    w = max(1, (len(alphabet) - 1).bit_length() + 7 >> 3)
+    code = {c: r.to_bytes(w, "big") for r, c in enumerate(alphabet)}
+    key = b"".join(map(code.__getitem__, x))
+    sa = [n - len(s) // w for s in sorted([key[i:] for i in range(0, n * w, w)])]
+    # Kasai's LCPs in text order: plcp[i] is the LCP of suffix i with the
+    # suffix before it in sa, and plcp[i + 1] >= plcp[i] - 1
+    before = [-1] * n
+    prev = -1
+    for i in sa:
+        before[i] = prev
+        prev = i
+    text = list(x) + [-1]  # the -1 ends every match at the end of x
+    plcp = [0] * (n + 1)  # plcp[n] = 0 closes the last interval
+    h = 0
+    for i, j in enumerate(before):
+        if j < 0:
+            h = 0
+            continue
+        while text[i + h] == text[j + h]:
+            h += 1
+        plcp[i] = h
+        if h:
+            h -= 1
+    gap: list[int] = []  # gap[i] = next_Γ(i) - i, n counted in Γ
     lo = 0
-    for p in pos:
-        gap[lo:p + 1] = range(p - lo, -1, -1)
+    for p in pos + [n]:
+        gap += range(p - lo, -1, -1)
         lo = p + 1
-    low = [gap[i] if i >= 0 else far for i in tree.suffix_label]
-    parent, depth, start, text = tree.parent, tree.depth, tree.start, tree.text
-    sentinel = tree.sentinel
-    for v in tree.order[:0:-1]:  # children before parents, the root left out
-        u, g = parent[v], low[v]
-        if g > depth[u] and text[start[v]] != sentinel:
+    # the open intervals, deepest on top; the top one is held in depth, low
+    stack: list[tuple[int, int]] = []
+    depth, low = 0, n
+    for g, a in zip(map(gap.__getitem__, sa), map(plcp.__getitem__, sa[1:] + [n])):
+        # a leaf with gap g: depth is its LCP with the suffix before it, a
+        # with the one after, and the larger is its parent's depth
+        if a > depth:  # a new interval opens at this leaf
+            if g > a:
+                return False
+            stack.append((depth, low))
+            depth, low = a, g
+            continue
+        if g > depth:
             return False
-        if g < low[u]:
-            low[u] = g
+        if g < low:
+            low = g
+        while depth > a:  # close the top interval; its parent is the deeper
+            under, under_low = stack[-1]  # of the one under it and a
+            if low > (under if under > a else a):
+                return False
+            if under < a:
+                depth = a
+            else:
+                stack.pop()
+                depth = under
+                if under_low < low:
+                    low = under_low
     return True
 
 

@@ -139,9 +139,10 @@ ORACLE_AREAS = {
               "cartesian matching and sub-table oracles (10^3 words)"],
     "rle": ["rle cover vs naive cover (exhaustive length <= 13)",
             "rle cover vs naive cover (exhaustive length <= 18)"],
-    "attractor": ["attractor suffix-tree check vs rank-refinement oracle "
-                  "(random, length <= 40; Thue-Morse k <= 7, Fibonacci k <= 10)",
-                  "attractor suffix-tree check vs rank-refinement oracle "
+    "attractor": ["attractor suffix-array check vs rank-refinement oracle "
+                  "(random over <= 300 symbols, length <= 40; Thue-Morse k <= 7, "
+                  "Fibonacci k <= 10)",
+                  "attractor suffix-array check vs rank-refinement oracle "
                   "(Thue-Morse k = 8, Fibonacci k = 11; kernel sizes)"],
 }
 

@@ -295,6 +295,13 @@ def test_an_answer_too_large_to_print_is_one_error_line(line, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_unbordered_counts_past_its_cap_is_one_error_line():
+    rc, out = run_cli(["unbordered", "counts", "20001"])
+    [line] = out.splitlines()
+    record = json.loads(line)
+    assert rc == 2 and record["ok"] is False and "SizeLimitError" in record["value"]
+
+
 @pytest.mark.parametrize("argv", [["lfsr", "gen", "110", "--limit"],
                                   ["word", "factors", "0110", "--list-max"]])
 def test_negative_limit_is_rejected(argv):

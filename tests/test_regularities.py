@@ -89,6 +89,66 @@ def test_attractor_agrees_with_oracle_random():
         assert is_attractor(w, s) == attractor_refinement(w, s), (w, s)
 
 
+def test_attractor_unary_words_agree_with_oracle():
+    # each suffix of a^n but the longest is a prefix of its neighbour in
+    # suffix order, so those leaves are skipped and the intervals decide
+    rng = random.Random(19)
+    for n in range(41):
+        w = [5] * n
+        sets = [set(), set(range(n))] + [{i} for i in range(n)]
+        sets += [{i for i in range(n) if rng.random() < 0.3} for _ in range(5)]
+        for s in sets:
+            assert is_attractor(w, s) == attractor_refinement(w, s) == (n == 0 or bool(s))
+
+
+def _attractor_sets(rng, n):
+    """Sets near the all-positions attractor, and sparse ones."""
+    every = set(range(n))
+    sets = [every, every - {rng.randrange(n)}, set(rng.sample(range(n), n // 2))]
+    return sets + [every - set(rng.sample(range(n), 3))]
+
+
+def test_attractor_multibyte_keys_agree_with_oracle():
+    # more than 256 distinct symbols need two bytes per rank
+    rng = random.Random(23)
+    for sigma in (257, 300):
+        for _ in range(3):
+            block = list(range(sigma)) + [rng.randrange(sigma) for _ in range(rng.randint(0, 40))]
+            rng.shuffle(block)
+            for s in _attractor_sets(rng, len(block)):
+                assert is_attractor(block, s) == attractor_refinement(block, s), (block, s)
+            # a word of period p: any p consecutive positions attract it
+            p = len(block)
+            w = block + block + block[:rng.randrange(p)]
+            start = rng.randrange(len(w) - p + 1)
+            window = set(range(start, start + p))
+            for s in (window, window - {rng.choice(sorted(window))}):
+                assert is_attractor(w, s) == attractor_refinement(w, s) == (s == window)
+
+
+def test_attractor_large_symbols_agree_with_oracle():
+    # symbols at and past 2^16 are ranked densely, over few and many letters
+    rng = random.Random(29)
+    for sigma, n in ((2, 60), (5, 60), (270, 300)):
+        for _ in range(3):
+            symbols = rng.sample(range(1 << 16, 1 << 40), sigma)
+            small = list(range(sigma)) + [rng.randrange(sigma) for _ in range(n - sigma)]
+            rng.shuffle(small)
+            w = [symbols[c] for c in small]
+            for s in _attractor_sets(rng, n):
+                want = attractor_refinement(w, s)
+                assert is_attractor(w, s) == is_attractor(small, s) == want, (w, s)
+
+
+def test_attractor_errors_come_cap_then_range_then_symbols():
+    with pytest.raises(ValueError, match="bounded"):
+        is_attractor([HOLE] * 5001, {6000})
+    with pytest.raises(ValueError, match="out of range"):
+        is_attractor([HOLE, 0], {2})
+    with pytest.raises(ValueError, match="non-negative"):
+        is_attractor([HOLE, 0], {1})
+
+
 def test_attractor_construct_values():
     assert attractor_construct("thue_morse", 5) == {16, 8, 24, 12}
     assert attractor_construct("thue_morse", 4) == {8, 4, 12, 6}
