@@ -31,10 +31,10 @@ def is_attractor(x: Sequence[int], positions: set[int] | Sequence[int]) -> bool:
     own, and that bound passes it; its gap still counts for the intervals
     around it.
 
-    The suffix array is Python's sort of the byte suffixes, with each
-    symbol's dense rank written as w big-endian bytes (w = 1 up to 256
-    symbols, and at most 2 under the cap).  The sorted keys hold about
-    n²·w/2 bytes while the sort runs: 12.5 MB at the cap for w = 1.
+    The suffix array is Python's sort of the ``str`` suffixes of a key
+    holding ``chr`` of each symbol's dense rank; a suffix starts at n less
+    its length.  The n²/2 characters of the sorted keys take 1 byte each up
+    to 256 distinct symbols and 2 beyond: 12.5 MB or 25 MB at the cap.
     Kasai's method (Kasai et al., CPM 2001) gives the LCPs, and one
     bottom-up stack pass over the intervals, each held as (depth, least
     gap), stops at the first failure.  Negative symbols, HOLE among them,
@@ -48,24 +48,18 @@ def is_attractor(x: Sequence[int], positions: set[int] | Sequence[int]) -> bool:
     alphabet = sorted(set(x))
     if alphabet and alphabet[0] < 0:
         raise ValueError("symbols must be non-negative")
-    w = max(1, (len(alphabet) - 1).bit_length() + 7 >> 3)
-    code = {c: r.to_bytes(w, "big") for r, c in enumerate(alphabet)}
-    key = b"".join(map(code.__getitem__, x))
-    sa = [n - len(s) // w for s in sorted([key[i:] for i in range(0, n * w, w)])]
+    code = {c: chr(r) for r, c in enumerate(alphabet)}
+    key = "".join(map(code.__getitem__, x))
+    sa = [n - len(s) for s in sorted([key[i:] for i in range(n)])]
     # Kasai's LCPs in text order: plcp[i] is the LCP of suffix i with the
     # suffix before it in sa, and plcp[i + 1] >= plcp[i] - 1
-    before = [-1] * n
-    prev = -1
-    for i in sa:
-        before[i] = prev
-        prev = i
+    before = [n] * n  # n, the -1 past x, precedes the least suffix: LCP 0
+    for i, j in zip(sa, sa[1:]):
+        before[j] = i
     text = list(x) + [-1]  # the -1 ends every match at the end of x
     plcp = [0] * (n + 1)  # plcp[n] = 0 closes the last interval
     h = 0
     for i, j in enumerate(before):
-        if j < 0:
-            h = 0
-            continue
         while text[i + h] == text[j + h]:
             h += 1
         plcp[i] = h

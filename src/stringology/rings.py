@@ -23,6 +23,8 @@ def cyclic_factors(w: Sequence[int], k: int) -> set[tuple[int, ...]]:
 
 def is_ring_word(w: Sequence[int], k: int) -> bool:
     """Each of the |w| cyclic k-factors occurs exactly once."""
+    if k < 1:
+        raise ValueError("need k >= 1")
     if len(w) < k:
         raise ValueError("need |w| >= k")
     return len(cyclic_factors(w, k)) == len(w)

@@ -6,11 +6,11 @@ sweep the acceptance test relies on is written, once: ``results`` runs a
 level's checks and yields one record each, and ``report`` prints one record;
 the ``selftest run`` command is the one loop over both.
 
-A unit test that repeats a check's sweep goes only when the one check covers
-both its inputs (for an exhaustive sweep a superset of its words, for a
-seeded random sweep the same distribution with at least as many draws) and
-its asserts; an assert the check lacks is first folded into the check.  The
-unit test's goldens and error-path asserts stay where they are.
+A unit test that repeats a check's sweep goes only once the one check covers
+its inputs (for a seeded sweep the same draws, or as many from the same
+distribution) and its asserts: what the check lacks is folded into it
+first, each assert applied to every input.  The unit test's goldens and
+error-path asserts stay where they are.
 """
 
 from __future__ import annotations
@@ -45,7 +45,8 @@ from .regularities import (
 )
 from .rings import is_ring_word, ring_word
 from .rle import rle_decode, rle_encode
-from .subcount import sub_table
+from .subcount import dif_table_marking, dif_table_minleaf, sub_table
+from .suffixtree import suffix_tree
 from .subseq import (
     count_subsequences, distinguishing_subsequence, hard_pair, lcs, max_subs,
     min_sub, s_cover_check, s_cover_check_naive,
@@ -53,7 +54,7 @@ from .subseq import (
 from .twosat import TwoSatFormula, check_assignment, two_sat_solve
 from .wildcard import wildcard_index, wildcard_search
 from .words import (
-    all_factors, all_subsequences, bar, fibonacci_word, is_subsequence,
+    HOLE, all_factors, all_subsequences, bar, fibonacci_word, is_subsequence,
     thue_morse,
 )
 
@@ -78,10 +79,8 @@ def _bin_words(max_len: int, min_len: int = 1):
 
 @check("rle round-trip, exhaustive length <= 16", "fast")
 def _rle_roundtrip():
-    for n in range(1, 17):
-        for mask in range(1 << (n - 1)):
-            w = [1] + [(mask >> i) & 1 for i in range(n - 1)]
-            assert rle_decode(rle_encode(w)) == w
+    for w in _bin_words(15, 0):
+        assert rle_decode(rle_encode([1] + w)) == [1] + w
 
 
 @check("morphic word recurrences", "fast")
@@ -136,13 +135,14 @@ def _assert_attractor_structured(tm_orders, fib_orders):
        "(random over <= 300 symbols, length <= 40; Thue-Morse k <= 7, Fibonacci k <= 10)",
        "fast")
 def _attractor_oracle_fast():
-    rng = random.Random(101)
-    for draw in range(500):
-        sigma = rng.randint(1, 4) if draw % 2 else rng.randint(1, 300)
-        x = [rng.randrange(sigma) for _ in range(rng.randint(0, 40))]
-        density = rng.random()
-        s = {i for i in range(len(x)) if rng.random() < density}
-        assert is_attractor(x, s) == oracles.attractor_refinement(x, s), (x, s)
+    for seed, draws, wide in ((101, 500, 300), (7, 1000, 4)):
+        rng = random.Random(seed)
+        for draw in range(draws):
+            sigma = rng.randint(1, 4 if draw % 2 else wide)
+            x = [rng.randrange(sigma) for _ in range(rng.randint(0, 40))]
+            density = rng.random()
+            s = {i for i in range(len(x)) if rng.random() < density}
+            assert is_attractor(x, s) == oracles.attractor_refinement(x, s), (x, s)
     _assert_attractor_structured(range(4, 8), range(2, 11))
 
 
@@ -330,7 +330,7 @@ def _freeband_fast():
         assert idempotent_equivalent(x, x)
 
 
-def edge_word(tree, v: int) -> list[int]:
+def _edge_word(tree, v: int) -> list[int]:
     return tree.text[tree.start[v]:tree.end[v]]
 
 
@@ -345,58 +345,55 @@ def leaves_below(tree, v: int) -> list[int]:
     return out
 
 
-def assert_side_ranks_match_definition(w) -> None:
+def _assert_side_ranks_match_definition(w) -> None:
     """Each internal node v of ``wildcard_index(w)`` has a side list, and it
     is the sorted ranks, by the sorted-suffix oracle, of the suffixes that
     start depth(v) + 1 past a leaf below a child of v other than the heavy
     one; the empty suffix, start n, is left out."""
     idx = wildcard_index(w)
     tree = idx.tree
-    rank = [0] * tree.n
-    for r, s in enumerate(oracles.suffix_array(w)):
-        rank[s] = r
+    rank = {s: r for r, s in enumerate(oracles.suffix_array(w))}
     assert sorted(idx.side) == [v for v in range(len(tree.parent)) if tree.children[v]]
     for v, side in idx.side.items():
-        want = []
-        for sym, child in tree.children[v].items():
-            if sym == idx.heavy[v]:
-                continue
-            for label in leaves_below(tree, child):
-                start = label + tree.depth[v] + 1
-                if start != tree.n:
-                    want.append(rank[start])
-        assert side == sorted(want), v
+        starts = [s + tree.depth[v] + 1 for sym, child in tree.children[v].items()
+                  if sym != idx.heavy[v] for s in leaves_below(tree, child)]
+        assert side == sorted(rank[s] for s in starts if s != tree.n), v
 
 
-@check("wildcard index: definition of side lists (words <= 64)", "fast")
+@check("wildcard index: definition of side lists "
+       "(random and unary words <= 64, Thue-Morse k <= 7, Fibonacci k <= 10)", "fast")
 def _wildcard_def():
     rng = random.Random(47)
-    for _ in range(40):
-        n = rng.randint(1, 64)
-        assert_side_ranks_match_definition([rng.randrange(2) for _ in range(n)])
-    # a unary word has one light leaf at every node, the empty word none
-    for n in range(65):
-        assert_side_ranks_match_definition([0] * n)
-    for _ in range(40):
-        n = rng.randint(1, 64)
-        assert_side_ranks_match_definition([rng.randrange(4) for _ in range(n)])
+    words = [[rng.randrange(2) for _ in range(rng.randint(1, 64))] for _ in range(40)]
+    words += [[0] * n for n in range(65)]  # one light leaf at every node; none if empty
+    words += [[rng.randrange(4) for _ in range(rng.randint(1, 64))] for _ in range(40)]
+    rng = random.Random(8)
+    words += [[rng.randrange(3) for _ in range(rng.randint(1, 64))] for _ in range(40)]
+    for w in words + [thue_morse(k) for k in range(8)] + [fibonacci_word(k) for k in range(11)]:
+        _assert_side_ranks_match_definition(w)
+
+
+def _assert_search_matches_scan(w, rng, queries: int, sigma: int, holes: float) -> None:
+    """Random patterns over sigma letters, one hole at rate holes."""
+    idx = wildcard_index(w)
+    for _ in range(queries):
+        m = rng.randint(1, 6)
+        pat = [rng.randrange(sigma) for _ in range(m)]
+        if rng.random() < holes:
+            pat[rng.randrange(m)] = HOLE
+        assert wildcard_search(idx, pat) == oracles.approx_occurs(pat, w), (w, pat)
 
 
 @check("wildcard search vs naive scan (random texts)", "fast")
 def _wildcard_search():
-    from .words import HOLE
-
     rng = random.Random(53)
     for _ in range(30):
         n = rng.randint(2, 300)
-        w = [rng.randrange(2) for _ in range(n)]
-        idx = wildcard_index(w)
-        for _ in range(60):
-            m = rng.randint(1, 6)
-            pat = [rng.randrange(2) for _ in range(m)]
-            if rng.random() < 0.8:
-                pat[rng.randrange(m)] = HOLE
-            assert wildcard_search(idx, pat) == bool(oracles.approx_occurs(pat, w))
+        _assert_search_matches_scan([rng.randrange(2) for _ in range(n)], rng, 60, 2, 0.8)
+    rng = random.Random(9)
+    for _ in range(40):
+        n, sigma = rng.randint(1, 300), rng.choice((2, 2, 3, 4))
+        _assert_search_matches_scan([rng.randrange(sigma) for _ in range(n)], rng, 80, sigma, 0.85)
 
 
 @check("cartesian matching vs naive windows (random)", "fast")
@@ -409,64 +406,81 @@ def _ct_fast():
         assert ct_match(x, y) == ct_match_naive(x, y)
 
 
-def tree_shape(tree, v: int = 0) -> tuple:
+def _tree_shape(tree, v: int = 0) -> tuple:
     """The subtree of ``v`` in the nested-tuple form of
     ``oracles.suffix_tree_shape``: (edge word, suffix label or -1,
     ((first symbol, child), ...)), children in symbol order."""
-    kids = tuple((s, tree_shape(tree, c)) for s, c in sorted(tree.children[v].items()))
-    return (tuple(edge_word(tree, v)), tree.suffix_label[v], kids)
+    kids = tuple((s, _tree_shape(tree, c)) for s, c in sorted(tree.children[v].items()))
+    return (tuple(_edge_word(tree, v)), tree.suffix_label[v], kids)
 
 
 def assert_tree_bookkeeping(tree) -> None:
     """The arrays the builder fills in beside the edges: each depth is the
     parent's plus the edge length, each leaf is labelled n - depth and no
-    other node is labelled, and ``order`` lists each node once, the root
-    first and each parent before its children."""
+    other node is labelled."""
     parent, depth, label = tree.parent, tree.depth, tree.suffix_label
     assert depth[0] == 0 and label[0] == -1
     for v in range(1, len(parent)):
         assert depth[v] == depth[parent[v]] + tree.end[v] - tree.start[v], v
         assert label[v] == (tree.n - depth[v] if not tree.children[v] else -1), v
-    position = [-1] * len(parent)
-    for i, v in enumerate(tree.order):
-        assert position[v] == -1, v
-        position[v] = i
-    assert tree.order[0] == 0 and len(tree.order) == len(parent)
-    assert all(position[parent[v]] < position[v] for v in tree.order[1:])
 
 
 @check("suffix tree equals the suffix-grouping and sorted-suffix oracles "
-       "(random, length <= 150)", "fast")
+       "(484 words, length <= 300)", "fast")
 def _suffix_tree_fast():
-    from .suffixtree import suffix_tree
-
+    # short unary words: the grouping oracle recurses once per tree level
+    words = [[], [0], [0] * 7, [3] * 20, [0, 1, 0, 0, 1] * 60]
+    words += [thue_morse(k) for k in range(8)] + [fibonacci_word(k) for k in range(11)]
     rng = random.Random(97)
-    for _ in range(100):
-        sigma = rng.randint(1, 4)
-        x = [rng.randrange(sigma) for _ in range(rng.randint(0, 150))]
+    words += [[rng.randrange(s) for _ in range(rng.randint(0, 150))]
+              for _ in range(100) for s in [rng.randint(1, 4)]]
+    rng = random.Random(1)
+    words += [[rng.randrange(3) for _ in range(rng.randint(1, 200))] for _ in range(80)]
+    rng = random.Random(2)
+    words += [[rng.randrange(2) for _ in range(rng.randint(1, 300))] for _ in range(60)]
+    rng = random.Random(3)
+    words += [[rng.randrange(s) for _ in range(n)]
+              for _ in range(120) for n, s in [(rng.randint(1, 180), rng.choice((1, 2, 3, 5)))]]
+    rng = random.Random(6)
+    words += [[rng.randrange(s) for _ in range(rng.randint(0, 120))]
+              for _ in range(100) for s in [rng.choice((1, 2, 3, 5))]]
+    for x in words:
         tree = suffix_tree(x)
-        assert tree_shape(tree) == oracles.suffix_tree_shape(x)
+        assert _tree_shape(tree) == oracles.suffix_tree_shape(x), x
         assert_tree_bookkeeping(tree)
         view = tree.lexicographic()
-        assert view.sa == oracles.suffix_array(x)
-        assert all(view.sa[r] == s for s, r in enumerate(view.rank))
+        assert view.sa == oracles.suffix_array(x), x
+        assert [view.sa[r] for r in view.rank] == list(range(tree.n)), x
+        for v in range(len(tree.parent)):
+            # the leaves below v, every start at the root, are its leaf range
+            assert sorted(view.sa[view.lo[v]:view.hi[v]]) == sorted(leaves_below(tree, v)), (x, v)
+            if not tree.is_leaf(v):
+                assert v == 0 or len(tree.children[v]) >= 2, (x, v)
+                continue
+            spelled, u = [], v  # a leaf's root path spells its suffix
+            while u:
+                spelled[:0] = _edge_word(tree, u)
+                u = tree.parent[u]
+            assert spelled == tree.text[tree.suffix_label[v]:], (x, v)
+
+
+def _assert_sub_table(x) -> None:
+    """Both dif tables are the oracle's; Sub counts every factor, never
+    falls, and gains at most n - k at position k."""
+    sub, dif = sub_table(x)
+    tree = suffix_tree(x)
+    assert dif == dif_table_marking(tree) == dif_table_minleaf(tree) == oracles.dif_table(x), x
+    assert len(sub) == tree.n and sub[-1] == len(all_factors(tree.text)), x
+    assert all(a <= b for a, b in zip(sub, sub[1:])), x
+    assert all(0 <= d <= tree.n - k for k, d in enumerate(dif)), x
 
 
 @check("sub-table equals the factor-counting oracle (random)", "fast")
 def _subtable_fast():
-    from .subcount import dif_table_marking, dif_table_minleaf
-    from .suffixtree import suffix_tree
-
     rng = random.Random(61)
     for _ in range(120):
         n = rng.randint(1, 60)
-        x = [rng.randrange(3) for _ in range(n)]
-        sub, dif = sub_table(x)
-        tree = suffix_tree(x)
-        assert dif == dif_table_marking(tree) == dif_table_minleaf(tree) == oracles.dif_table(x)
-        full = x + [tree.sentinel]
-        assert sub[-1] == len(all_factors(full))
-        assert all(a <= b for a, b in zip(sub, sub[1:]))
+        _assert_sub_table([rng.randrange(3) for _ in range(n)])
 
 
 @check("counting: subsequence DP vs enumeration (length <= 12)", "fast")
@@ -567,17 +581,15 @@ def _factor_tests_fast():
         assert fib_factor_test(w) == (fib.find(b) >= 0)
 
 
-def _rle_cover_sweep(lengths) -> None:
-    # every binary word of each length that starts with 1
-    for n in lengths:
-        for mask in range(1 << (n - 1)):
-            w = [1] + [(mask >> i) & 1 for i in range(n - 1)]
-            assert rle_shortest_cover(rle_encode(w)) == oracles.naive_shortest_cover(w)
+def _rle_cover_sweep(shortest: int, longest: int) -> None:
+    for w in _bin_words(longest - 1, shortest - 1):  # each word that starts with 1
+        w = [1] + w
+        assert rle_shortest_cover(rle_encode(w)) == oracles.naive_shortest_cover(w)
 
 
 @check("rle cover vs naive cover (exhaustive length <= 13)", "fast")
 def _rle_cover_fast():
-    _rle_cover_sweep(range(1, 14))
+    _rle_cover_sweep(1, 13)
 
 
 # ------------------------------------------------------------------- full
@@ -693,7 +705,7 @@ def _freeband_counts():
         assert len(seen) + 1 == want  # plus the empty word
 
 
-@check("cartesian matching and sub-table oracles (10^3 words)", "full")
+@check("cartesian matching (10^3 words) and sub-table oracles (1872 words)", "full")
 def _index_full():
     rng = random.Random(83)
     for _ in range(1000):
@@ -701,19 +713,21 @@ def _index_full():
         x = [rng.randrange(5) for _ in range(m)]
         y = [rng.randrange(5) for _ in range(rng.randint(m, 400))]
         assert ct_match(x, y) == ct_match_naive(x, y)
-    from .subcount import dif_table_marking, dif_table_minleaf
-    from .suffixtree import suffix_tree
-
-    for _ in range(1000):
-        n = rng.randint(1, 80)
-        x = [rng.randrange(4) for _ in range(n)]
-        t = suffix_tree(x)
-        assert dif_table_marking(t) == dif_table_minleaf(t)
+    words = [[rng.randrange(4) for _ in range(rng.randint(1, 80))] for _ in range(1000)]
+    for seed, count, sigma, longest in ((4, 400, 3, 120), (5, 120, 4, 150), (6, 200, 3, 80)):
+        rng = random.Random(seed)
+        words += [[rng.randrange(sigma) for _ in range(rng.randint(1, longest))]
+                  for _ in range(count)]
+    rng = random.Random(7)  # unary and periodic words, then a letter count per symbol
+    words += [[0] * 40, [0, 1] * 25] + [
+        [rng.randrange(rng.choice((1, 2, 3))) for _ in range(rng.randint(1, 90))] for _ in range(150)]
+    for x in words:
+        _assert_sub_table(x)
 
 
 @check("rle cover vs naive cover (exhaustive length <= 18)", "full")
 def _rle_cover_full():
-    _rle_cover_sweep(range(14, 19))
+    _rle_cover_sweep(14, 18)
 
 
 @check("attractor suffix-array check vs rank-refinement oracle "
@@ -732,11 +746,11 @@ def _attractor_oracle_full():
 
 @check("wildcard index size bound, random words to n = 2000", "full")
 def _wildcard_size_full():
-    rng = random.Random(89)
-    for n in (50, 200, 800, 2000):
-        w = [rng.randrange(2) for _ in range(n)]
-        idx = wildcard_index(w)
-        assert idx.node_count() <= 4 * n * math.log2(n)
+    for seed, sizes in ((89, (50, 200, 800, 2000)), (10, (50, 120, 500, 1200, 2000))):
+        rng = random.Random(seed)
+        for n in sizes:
+            w = [rng.randrange(2) for _ in range(n)]
+            assert wildcard_index(w).node_count() <= 4 * n * math.log2(n), (seed, n)
 
 
 @check("superpattern embeds all 8! permutations", "full")

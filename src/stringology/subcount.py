@@ -1,5 +1,5 @@
 """Per-position counts of distinct factors, read off the suffix tree in two
-independent ways."""
+independent ways; ``sub_table`` takes the marking walk, which sorts nothing."""
 
 from __future__ import annotations
 
@@ -32,19 +32,17 @@ def dif_table_marking(tree: SuffixTree) -> list[int]:
 
 
 def dif_table_minleaf(tree: SuffixTree) -> list[int]:
-    """Charge each edge to the smallest suffix label below it."""
-    n = tree.n
-    min_leaf = [n] * len(tree.parent)
-    label = tree.suffix_label
-    for v in reversed(tree.order):
-        if label[v] >= 0:
-            min_leaf[v] = label[v]
-        if v:
-            p = tree.parent[v]
-            if min_leaf[v] < min_leaf[p]:
-                min_leaf[p] = min_leaf[v]
-    dif = [0] * n
-    for v in range(1, len(tree.parent)):
+    """Charge each edge to the smallest suffix label below it, sorting the
+    nodes by depth here: a parent is shallower than its children, so the
+    deepest first pass settles each node before its parent reads it."""
+    parent = tree.parent
+    min_leaf = [k if k >= 0 else tree.n for k in tree.suffix_label]
+    for v in sorted(range(1, len(parent)), key=tree.depth.__getitem__, reverse=True):
+        p = parent[v]
+        if min_leaf[v] < min_leaf[p]:
+            min_leaf[p] = min_leaf[v]
+    dif = [0] * tree.n
+    for v in range(1, len(parent)):
         dif[min_leaf[v]] += tree.end[v] - tree.start[v]
     return dif
 

@@ -2,11 +2,9 @@
 
 Construction is one pass of Ukkonen's on-line algorithm (Ukkonen, "On-line
 construction of suffix trees", Algorithmica 1995) that records each node's
-string depth and leaf label as the node is made.  ``order``, the nodes
-sorted by depth, is sorted on first read and then kept, so a caller that
-never reads it does not pay for the sort.  ``oracles.suffix_tree_shape``
-builds the same tree by grouping suffixes; the tests and the selftest
-compare the two.
+string depth and leaf label as the node is made; nothing is sorted.
+``oracles.suffix_tree_shape`` builds the same tree by grouping suffixes; the
+selftest compares the two.
 ``SuffixTree.lexicographic`` reads the suffix array, its inverse and each
 node's leaf range off the tree on demand; ``oracles.suffix_array`` sorts the
 suffixes instead.
@@ -14,7 +12,6 @@ suffixes instead.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 
@@ -34,9 +31,8 @@ class SuffixTree:
     """Arrays per node: parent, edge span [start, end) into text, string
     depth, children keyed by first symbol, and the suffix label on leaves
     (-1 on the root and internal nodes), all filled in by one pass of
-    Ukkonen's loop.  ``order`` lists every node once, the root first and
-    each parent before its children; siblings come in no particular symbol
-    order.  It is sorted on first read and then kept."""
+    Ukkonen's loop.  Node ids follow creation order, the root 0; a parent
+    is strictly shallower than each of its children."""
 
     def __init__(self, word: Sequence[int]):
         base = list(word)
@@ -121,11 +117,6 @@ class SuffixTree:
                     act_edge = i - remainder + 1
                 else:
                     act_node = slink[act_node]
-
-    @cached_property
-    def order(self) -> list[int]:
-        # a parent is strictly shallower than its children; the root has depth 0
-        return sorted(range(len(self.parent)), key=self.depth.__getitem__)
 
     def is_leaf(self, v: int) -> bool:
         return self.suffix_label[v] >= 0

@@ -135,8 +135,8 @@ ORACLE_AREAS = {
     "freeband": ["free band DP vs recursive quadruples (3 letters, len <= 7)",
                  "free band class counts saturate at 7 and 160"],
     "index": ["suffix tree equals the suffix-grouping and sorted-suffix oracles "
-              "(random, length <= 150)",
-              "cartesian matching and sub-table oracles (10^3 words)"],
+              "(484 words, length <= 300)",
+              "cartesian matching (10^3 words) and sub-table oracles (1872 words)"],
     "rle": ["rle cover vs naive cover (exhaustive length <= 13)",
             "rle cover vs naive cover (exhaustive length <= 18)"],
     "attractor": ["attractor suffix-array check vs rank-refinement oracle "

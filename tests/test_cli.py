@@ -120,6 +120,10 @@ def test_usage_errors_exit_2():
     assert rc == 2
     rc, _ = run_cli(["recompress", "compress", "abab", "ab", "ab"])  # sides overlap
     assert rc == 2
+    rc, _ = run_cli(["ring", "check", "0", "0"])  # k < 1
+    assert rc == 2
+    rc, _ = run_cli(["ring", "check", "0101", "-1"])
+    assert rc == 2
 
 
 def test_randomized_commands_require_seed():

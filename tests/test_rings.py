@@ -19,6 +19,9 @@ def test_ring_checker_examples():
     assert not is_ring_word(bits("0101"), 4)
     with pytest.raises(ValueError):
         is_ring_word(bits("01"), 3)
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="k >= 1"):
+            is_ring_word(bits("0101"), k)
 
 
 def test_phi_lift_example():

