@@ -6,7 +6,7 @@ A command takes only the options its REGISTRY row declares (--help lists
 them); `--plain` is the one global flag and `--` ends the options.
 
 Words are accepted as letter strings (a-z), digit strings, or comma-separated
-integers.  "?" stands for the don't-care symbol; only the word of
+integers, ASCII only.  "?" stands for the don't-care symbol; only the word of
 `period local` and the pattern of `wildcard search` accept it.  A negative
 symbol is an error, there too, except in the integer sequences of the
 `cartesian` verbs.  Output is one JSON object per line ({ok, value, meta})
@@ -38,10 +38,20 @@ class UsageError(ValueError):
     pass
 
 
+# Byte of an ASCII digit or letter literal -> its symbol; "?" -> _HOLE_BYTE,
+# which no digit or letter reaches.
+_HOLE_BYTE = 0xFF
+_SYMBOLS = bytes.maketrans(b"0123456789" + LETTERS.encode() + b"?",
+                           bytes(range(10)) + bytes(range(26)) + bytes([_HOLE_BYTE]))
+
+
 def parse_word(text: str) -> tuple[list[int], str]:
-    """The word and the form it was written in: "csv", "digits" or "letters"."""
+    """The word and the form it was written in: "csv", "digits" or "letters".
+    A literal is ASCII only."""
     if not text:
         raise UsageError("empty word literal")
+    if not text.isascii():
+        raise UsageError(f"cannot parse word {text!r}")
     if "," in text:
         out = []
         for part in text.split(","):
@@ -54,19 +64,46 @@ def parse_word(text: str) -> tuple[list[int], str]:
                 except ValueError:
                     raise UsageError(f"bad integer {part!r}") from None
         return out, "csv"
-    if all(c.isdigit() or c == "?" for c in text):
-        return [HOLE if c == "?" else int(c) for c in text], "digits"
-    if all(c in LETTERS or c == "?" for c in text):
-        return [HOLE if c == "?" else LETTERS.index(c) for c in text], "letters"
-    raise UsageError(f"cannot parse word {text!r}")
+    plain = text.replace("?", "")
+    if not plain or plain.isdigit():  # on ASCII, isdigit is 0-9 and isalpha a-z, A-Z
+        form = "digits"
+    elif plain.isalpha() and plain.islower():
+        form = "letters"
+    else:
+        raise UsageError(f"cannot parse word {text!r}")
+    word = list(text.encode().translate(_SYMBOLS))
+    if len(plain) < len(text):  # "?" is the hole
+        word = [HOLE if s == _HOLE_BYTE else s for s in word]
+    return word, form
+
+
+def _symbol_chars(chars: bytes, hole: bytes) -> bytes:
+    """Symbol byte -> its character in a form, ``hole`` at 0xFF and "," for
+    every other symbol the form cannot show."""
+    return (chars + b"," * 256)[:255] + hole
+
+
+# form -> the characters of bytes(w) and of w as signed bytes, in which HOLE
+# (-1) is 0xFF
+_FORM_CHARS = {form: (_symbol_chars(chars, b","), _symbol_chars(chars, b"?"))
+               for form, chars in (("letters", LETTERS.encode()), ("digits", b"0123456789"))}
 
 
 def format_word(w: Sequence[int], form: str) -> str:
     """w in the given form, or csv when a symbol does not fit it."""
-    if form == "letters" and all(s == HOLE or 0 <= s < 26 for s in w):
-        return "".join("?" if s == HOLE else LETTERS[s] for s in w)
-    if form == "digits" and all(s == HOLE or 0 <= s <= 9 for s in w):
-        return "".join("?" if s == HOLE else str(s) for s in w)
+    chars = _FORM_CHARS.get(form)
+    if chars is not None:
+        try:
+            text = bytes(w).translate(chars[0])
+        except ValueError:  # HOLE or a symbol past 255; as a signed byte HOLE is 0xFF
+            from array import array  # here, off the cold start: its import takes ~0.4 ms
+
+            try:
+                text = array("b", w).tobytes().translate(chars[1])
+            except OverflowError:  # a symbol past 127: no letter or digit
+                text = b","
+        if b"," not in text:
+            return text.decode()
     return ",".join("?" if s == HOLE else str(s) for s in w)
 
 
@@ -148,7 +185,8 @@ def _no_negative(symbols, text: str) -> None:
 
 def _word(text: str) -> tuple[list[int], str]:
     word, form = parse_word(_no_hole(text))
-    _no_negative(word, text)
+    if form == "csv":  # only a csv literal can spell a negative number
+        _no_negative(word, text)
     return word, form
 
 
@@ -402,16 +440,18 @@ def h_pd_window(args, form):
     return True, cartesian.pd_window(cartesian.parent_distance(x), i, j), {}
 
 
-def h_selftest(args, form, level="fast"):
+def h_selftest(args, form, level="fast", json=False):
     import stringology.selftest as selftest
 
-    failed = []
+    records, failed = [], []
     for r in selftest.results(level):
         selftest.report(r, sys.stderr)  # progress stays off the one JSON line
+        records.append(r._asdict())
         if r.error is not None:
             failed.append(r.name)
     ok = not failed
-    return ok, "ok" if ok else "FAILED", {"failures": len(failed), "failed": failed}
+    value = records if json else ("ok" if ok else "FAILED")
+    return ok, value, {"failures": len(failed), "failed": failed}
 
 
 # ------------------------------------------------------------ command table
@@ -492,7 +532,7 @@ REGISTRY = [
             h_pd_window),
     Command("cartesian", "border", "cartesian:ct_border", "word:int-word", "value"),
     Command("cartesian", "match", "cartesian:ct_match", "pattern:int-word text:int-word", "found"),
-    Command("selftest", "run", "selftest", "--level:text", h_selftest),
+    Command("selftest", "run", "selftest", "--level:text --json", h_selftest),
 ]
 
 COMMANDS = {(c.area, c.verb): c for c in REGISTRY}
@@ -519,7 +559,14 @@ def covered_operations() -> list[str]:
     return [op for cmd in REGISTRY for op in cmd.ops]
 
 
-_JSON = json.JSONEncoder(default=str)  # built once; json.dumps(default=str) builds one per call
+# The encoder that json.JSONEncoder(default=str).encode builds on every call,
+# built once: the C encoder with JSONEncoder's defaults, or, without the C
+# accelerator, JSONEncoder itself.  Either takes (obj, 0) and returns the chunks
+# of obj's JSON text.
+_MARKERS: dict = {}  # ids of the containers being encoded; empty between calls
+_ENCODE = (json.encoder.c_make_encoder(_MARKERS, str, json.encoder.encode_basestring_ascii, None,
+                                       ": ", ", ", False, False, True)
+           if json.encoder.c_make_encoder else json.JSONEncoder(default=str).iterencode)
 
 
 def _render(ok: bool, value, meta, plain: bool) -> str:
@@ -528,13 +575,14 @@ def _render(ok: bool, value, meta, plain: bool) -> str:
     the interpreter's int-to-string limit is a UsageError."""
     try:
         if not plain:
-            return _JSON.encode({"ok": ok, "value": value, "meta": meta}) + "\n"
+            return "".join(_ENCODE({"ok": ok, "value": value, "meta": meta}, 0)) + "\n"
         if isinstance(value, dict):
             value = [f"{k}: {v}" for k, v in value.items()]
         elif not isinstance(value, (list, tuple)):
             value = [value]
         return "".join(f"{item}\n" for item in value)
     except ValueError:  # str() of an int past sys.get_int_max_str_digits()
+        _MARKERS.clear()  # the C encoder leaves the containers it was inside
         limit = sys.get_int_max_str_digits()
         raise UsageError(f"answer too large to print: over {limit} digits") from None
 

@@ -132,31 +132,39 @@ def _with_sentinel(word: Sequence[int]) -> tuple[int, ...]:
     return tuple(word) + ((max(word) + 1) if word else 0,)
 
 
-def suffix_tree_shape(word: Sequence[int]) -> tuple:
-    """The compacted suffix tree of word + sentinel as nested tuples (edge
-    word, suffix label or -1, ((first symbol, child), ...)), children in
-    symbol order.  The suffixes below a node are grouped on their next
-    symbol; an edge runs on while its group agrees, and a group of one
-    suffix is a leaf."""
+def suffix_tree_shape(word: Sequence[int]) -> list[tuple]:
+    """The compacted suffix tree of word + sentinel in preorder, children in
+    symbol order: (parent's preorder index, edge word, suffix label or -1)
+    per node, the root first as (-1, (), -1).  The suffixes below a node are
+    grouped on their next symbol; an edge runs on while its group agrees, and
+    a group of one suffix is a leaf.  The nodes wait on an explicit stack and
+    the shape is flat, so neither building nor comparing it recurses once
+    per tree level."""
     text = _with_sentinel(word)
+    # (parent's index, starts, top, depth): every suffix in starts agrees on
+    # its first depth symbols, and the edge into the node starts top symbols in
+    stack: list[tuple[int, list[int], int, int]] = []
 
-    def branch(starts: list[int], depth: int) -> tuple:
+    def push_children(index: int, starts: list[int], depth: int) -> None:
         groups: dict[int, list[int]] = {}
         for s in starts:
             groups.setdefault(text[s + depth], []).append(s)
-        return tuple((sym, node(groups[sym], depth, depth + 1)) for sym in sorted(groups))
+        for sym in sorted(groups, reverse=True):  # popped in symbol order
+            stack.append((index, groups[sym], depth, depth + 1))
 
-    def node(starts: list[int], top: int, depth: int) -> tuple:
-        # every suffix in starts agrees on its first depth symbols; the
-        # edge into this node starts top symbols in
+    shape = [(-1, (), -1)]
+    push_children(0, list(range(len(text))), 0)
+    while stack:
+        parent, starts, top, depth = stack.pop()
         s0 = starts[0]
         if len(starts) == 1:
-            return (text[s0 + top:], s0, ())
+            shape.append((parent, text[s0 + top:], s0))
+            continue
         while len({text[s + depth] for s in starts}) == 1:
             depth += 1
-        return (text[s0 + top:s0 + depth], -1, branch(starts, depth))
-
-    return ((), -1, branch(list(range(len(text))), 0))
+        shape.append((parent, text[s0 + top:s0 + depth], -1))
+        push_children(len(shape) - 1, starts, depth)
+    return shape
 
 
 def suffix_array(word: Sequence[int]) -> list[int]:

@@ -10,6 +10,9 @@ import math
 from typing import Sequence
 
 from .rings import euler_circuit
+from .words import SizeLimitError
+
+_SUPERPATTERN_MAX = 1000  # 500 500 symbols
 
 
 def superpattern_word(n: int) -> list[int]:
@@ -18,6 +21,8 @@ def superpattern_word(n: int) -> list[int]:
     descending even letters, n groups in total."""
     if n < 1:
         raise ValueError("need n >= 1")
+    if n > _SUPERPATTERN_MAX:
+        raise SizeLimitError(f"superpattern_word bounded at n <= {_SUPERPATTERN_MAX}")
     asc = list(range(1, n + 2, 2))
     desc = list(range(n + 1 if n % 2 else n, 0, -2))
     out: list[int] = []

@@ -7,7 +7,7 @@ from typing import Sequence
 
 from .rle import Run, check_runs, rle_length, rle_validate
 from .twosat import TwoSatFormula, two_sat_solve
-from .words import HOLE, approx_eq, fibonacci_word, zarray
+from .words import _THUE_MORSE_MAX, HOLE, SizeLimitError, approx_eq, fibonacci_word, zarray
 
 _ATTRACTOR_MAX = 5000
 
@@ -106,6 +106,9 @@ def attractor_construct(family: str, k: int) -> set[int]:
     if family == "thue_morse":
         if k < 4:
             raise ValueError("thue_morse attractor construction needs k >= 4")
+        if k > _THUE_MORSE_MAX:  # the word itself is capped there
+            raise SizeLimitError(
+                f"thue_morse attractor construction bounded at k <= {_THUE_MORSE_MAX}")
         return {
             1 << (k - 1),
             1 << (k - 2),

@@ -406,12 +406,30 @@ def _ct_fast():
         assert ct_match(x, y) == ct_match_naive(x, y)
 
 
-def _tree_shape(tree, v: int = 0) -> tuple:
-    """The subtree of ``v`` in the nested-tuple form of
-    ``oracles.suffix_tree_shape``: (edge word, suffix label or -1,
-    ((first symbol, child), ...)), children in symbol order."""
-    kids = tuple((s, _tree_shape(tree, c)) for s, c in sorted(tree.children[v].items()))
-    return (tuple(_edge_word(tree, v)), tree.suffix_label[v], kids)
+def _tree_shape(tree) -> list[tuple]:
+    """``tree`` in the preorder form of ``oracles.suffix_tree_shape``:
+    (parent's preorder index, edge word, suffix label or -1) per node,
+    children in symbol order."""
+    shape: list[tuple] = []
+    stack = [(-1, 0)]
+    while stack:
+        parent, v = stack.pop()
+        shape.append((parent, tuple(_edge_word(tree, v)), tree.suffix_label[v]))
+        kids = sorted(tree.children[v].items(), reverse=True)  # popped in symbol order
+        stack.extend((len(shape) - 1, c) for _, c in kids)
+    return shape
+
+
+def index_family_words(n: int, rng: random.Random) -> list[list[int]]:
+    """The five word families of the benchmark's index workload at length n:
+    Thue-Morse and Fibonacci prefixes, random binary, random 4-letter and
+    unary words."""
+    fib = 1
+    while len(fibonacci_word(fib)) < n:
+        fib += 1
+    return [thue_morse(max(n - 1, 1).bit_length())[:n], fibonacci_word(fib)[:n],
+            [rng.randrange(2) for _ in range(n)], [rng.randrange(4) for _ in range(n)],
+            [0] * n]
 
 
 def assert_tree_bookkeeping(tree) -> None:
@@ -426,10 +444,11 @@ def assert_tree_bookkeeping(tree) -> None:
 
 
 @check("suffix tree equals the suffix-grouping and sorted-suffix oracles "
-       "(484 words, length <= 300)", "fast")
+       "(484 words of length <= 300; the five index families at 512 and 1024)", "fast")
 def _suffix_tree_fast():
-    # short unary words: the grouping oracle recurses once per tree level
-    words = [[], [0], [0] * 7, [3] * 20, [0, 1, 0, 0, 1] * 60]
+    rng = random.Random(1)
+    words = [w for n in (512, 1024) for w in index_family_words(n, rng)]
+    words += [[], [0], [0] * 7, [3] * 20, [0, 1, 0, 0, 1] * 60]
     words += [thue_morse(k) for k in range(8)] + [fibonacci_word(k) for k in range(11)]
     rng = random.Random(97)
     words += [[rng.randrange(s) for _ in range(rng.randint(0, 150))]

@@ -17,6 +17,9 @@ from typing import Sequence
 
 from .words import SizeLimitError, all_subsequences, fibonacci_number
 
+_HARD_PAIR_MAX = 10 ** 6
+_MAX_SUBS_MAX = 2 * 10 ** 4  # the answer has 4181 digits, within the 4300 that print
+
 
 @dataclass(frozen=True)
 class SCoverTables:
@@ -176,6 +179,8 @@ def hard_pair(n: int) -> tuple[list[int], list[int]]:
     exactly ceil((n+1)/2)."""
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > _HARD_PAIR_MAX:
+        raise SizeLimitError(f"hard_pair bounded at n <= {_HARD_PAIR_MAX}")
     m = n // 2
     x = [0, 1] * m
     y = [1, 0] * m
@@ -317,4 +322,6 @@ def max_subs(n: int) -> int:
     """Largest subsequence count over binary words of length n: F(n+3) - 1."""
     if n < 0:
         raise ValueError("need n >= 0")
+    if n > _MAX_SUBS_MAX:
+        raise SizeLimitError(f"max_subs bounded at n <= {_MAX_SUBS_MAX}")
     return fibonacci_number(n + 3) - 1

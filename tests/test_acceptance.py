@@ -135,7 +135,7 @@ ORACLE_AREAS = {
     "freeband": ["free band DP vs recursive quadruples (3 letters, len <= 7)",
                  "free band class counts saturate at 7 and 160"],
     "index": ["suffix tree equals the suffix-grouping and sorted-suffix oracles "
-              "(484 words, length <= 300)",
+              "(484 words of length <= 300; the five index families at 512 and 1024)",
               "cartesian matching (10^3 words) and sub-table oracles (1872 words)"],
     "rle": ["rle cover vs naive cover (exhaustive length <= 13)",
             "rle cover vs naive cover (exhaustive length <= 18)"],

@@ -124,6 +124,9 @@ def test_usage_errors_exit_2():
     assert rc == 2
     rc, _ = run_cli(["ring", "check", "0101", "-1"])
     assert rc == 2
+    for line in (["lps", "run", "٣٤٣"], ["word", "prefix-table", "١٢١"], ["lps", "run", "²"]):
+        rc, out = run_cli(line)  # str.isdigit and int() accept these; a literal is ASCII
+        assert rc == 2 and json.loads(out)["value"] == f"cannot parse word {line[-1]!r}"
 
 
 def test_randomized_commands_require_seed():
@@ -284,8 +287,7 @@ def test_lfsr_gen_limit_zero_lists_nothing():
 # answers past Python's 4300-digit limit on int-to-string conversion
 @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
                     reason="needs Python's default int-to-string digit limit")
-@pytest.mark.parametrize("line", ["subs max 25000", "unbordered counts 15000",
-                                  "unbordered palprefix3 10000"])
+@pytest.mark.parametrize("line", ["unbordered counts 15000", "unbordered palprefix3 10000"])
 def test_an_answer_too_large_to_print_is_one_error_line(line, capsys):
     for plain in ([], ["--plain"]):
         rc, out = run_cli(line.split() + plain)
@@ -299,11 +301,65 @@ def test_an_answer_too_large_to_print_is_one_error_line(line, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_subs_max_prints_up_to_its_cap():
+    rc, out = run_cli(["subs", "max", "20000"])
+    assert rc == 0 and len(str(json.loads(out)["value"])) == 4181
+    rc, out = run_cli(["subs", "max", "20001"])
+    record = json.loads(out)
+    assert rc == 2 and record["value"] == "SizeLimitError: max_subs bounded at n <= 20000"
+
+
 def test_unbordered_counts_past_its_cap_is_one_error_line():
     rc, out = run_cli(["unbordered", "counts", "20001"])
     [line] = out.splitlines()
     record = json.loads(line)
     assert rc == 2 and record["ok"] is False and "SizeLimitError" in record["value"]
+
+
+# a valid value of each argument kind, and of each text argument by name
+FILL = {"word": "0110", "hole-word": "0110", "int-word": "3,1,2", "runs": "1:2,0:1",
+        "lists": "ab,ab", "taps": "110", "poly": "x3+x+1", "int": "2", "count": "2",
+        "int-list": "1,2", "float-list": "0.5,0.5"}
+FILL_TEXT = {"family": "thue_morse", "kind": "zaks", "clauses": "1,2", "control": "11"}
+
+# runs each argv of the JSON list on stdin under a 1 GiB address-space limit
+# and prints [argv, exit status, output, seconds] for each
+HUGE_CHILD = """
+import json, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from stringology import cli
+for argv in json.load(sys.stdin):
+    t0 = time.perf_counter()
+    rc, text = cli._respond(argv, False)
+    print(json.dumps([argv, rc, text, time.perf_counter() - t0]), flush=True)
+"""
+
+
+def test_every_int_argument_is_checked_before_any_work():
+    """10^9 in any one int argument is one {ok: false} line at once: a size
+    or range check runs before the work, not a MemoryError after it."""
+    pytest.importorskip("resource")
+    lines = []
+    for cmd in REGISTRY:
+        for i, kind in enumerate(cmd.kinds):
+            if kind == "int":
+                args = [FILL_TEXT[name] if k == "text" else FILL[k]
+                        for name, k in zip(cmd.nargs, cmd.kinds)]
+                args[i] = str(10 ** 9)
+                lines.append([cmd.area, cmd.verb, *args])
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", HUGE_CHILD], input=json.dumps(lines),
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [argv for argv, *_ in records] == lines
+    for argv, rc, text, seconds in records:
+        [line] = text.splitlines()
+        record = json.loads(line)
+        assert rc == 2 and record["ok"] is False, argv
+        assert "MemoryError" not in record["value"], argv
+        assert seconds < 1.0, (argv, seconds)
 
 
 @pytest.mark.parametrize("argv", [["lfsr", "gen", "110", "--limit"],
@@ -490,3 +546,25 @@ def test_selftest_run_writes_one_json_line_per_command(monkeypatch, capsys):
     assert main(["batch"]) == 1
     out, _ = capsys.readouterr()
     assert [json.loads(line) for line in out.splitlines()] == [want, want]
+
+
+def test_selftest_run_json_gives_one_record_per_check(monkeypatch, capsys):
+    def broken():
+        raise ValueError("boom")
+
+    monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None),
+                                             ("broken", "fast", broken),
+                                             ("slow", "full", lambda: None)])
+    assert main(["selftest", "run", "--level", "fast", "--json"]) == 1
+    out, err = capsys.readouterr()
+    [record] = [json.loads(line) for line in out.splitlines()]
+    assert record["ok"] is False and record["meta"] == {"failures": 1, "failed": ["broken"]}
+    fine, failing = record["value"]  # the full-level check does not run at level fast
+    assert set(fine) == {"name", "level", "seconds", "error"}
+    assert (fine["name"], fine["level"], fine["error"]) == ("fine", "fast", None)
+    assert failing["name"] == "broken" and failing["error"] == "ValueError: boom"
+    assert fine["seconds"] >= 0 and "FAIL broken: ValueError: boom" in err
+    monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None)])
+    assert main(["selftest", "run", "--json"]) == 0
+    value = json.loads(capsys.readouterr().out)["value"]
+    assert [r["name"] for r in value] == ["fine"]
