@@ -6,7 +6,7 @@ A command takes only the options its REGISTRY row declares (--help lists
 them); `--plain` is the one global flag and `--` ends the options.
 
 Words are accepted as letter strings (a-z), digit strings, or comma-separated
-integers, ASCII only.  "?" stands for the don't-care symbol; only the word of
+integers.  Every argument is ASCII only.  "?" stands for the don't-care symbol; only the word of
 `period local` and the pattern of `wildcard search` accept it.  A negative
 symbol is an error, there too, except in the integer sequences of the
 `cartesian` verbs.  Output is one JSON object per line ({ok, value, meta})
@@ -241,6 +241,15 @@ KINDS = {
 WORD_KINDS = ("word", "hole-word", "int-word")
 
 
+def _parse(kind: str, text: str):
+    """An argument or option text parsed by its kind.  Every kind is ASCII
+    only: str.isdigit, int() and float() also read other scripts' digits,
+    so an Arabic-Indic "٣" would be 3."""
+    if not text.isascii():
+        raise UsageError(f"cannot parse {'word' if kind in WORD_KINDS else kind} {text!r}")
+    return KINDS[kind](text)
+
+
 def _code(c, form):
     import stringology.codec as codec
 
@@ -440,18 +449,17 @@ def h_pd_window(args, form):
     return True, cartesian.pd_window(cartesian.parent_distance(x), i, j), {}
 
 
-def h_selftest(args, form, level="fast", json=False):
+def h_selftest(args, form, level="fast"):
     import stringology.selftest as selftest
 
-    records, failed = [], []
+    checks = []
     for r in selftest.results(level):
         selftest.report(r, sys.stderr)  # progress stays off the one JSON line
-        records.append(r._asdict())
-        if r.error is not None:
-            failed.append(r.name)
+        checks.append(r._asdict())
+    failed = [r["name"] for r in checks if r["error"] is not None]
     ok = not failed
-    value = records if json else ("ok" if ok else "FAILED")
-    return ok, value, {"failures": len(failed), "failed": failed}
+    return ok, "ok" if ok else "FAILED", {"failures": len(failed), "failed": failed,
+                                          "checks": checks}
 
 
 # ------------------------------------------------------------ command table
@@ -532,7 +540,7 @@ REGISTRY = [
             h_pd_window),
     Command("cartesian", "border", "cartesian:ct_border", "word:int-word", "value"),
     Command("cartesian", "match", "cartesian:ct_match", "pattern:int-word text:int-word", "found"),
-    Command("selftest", "run", "selftest", "--level:text --json", h_selftest),
+    Command("selftest", "run", "selftest", "--level:text", h_selftest),
 ]
 
 COMMANDS = {(c.area, c.verb): c for c in REGISTRY}
@@ -560,11 +568,11 @@ def covered_operations() -> list[str]:
 
 
 # The encoder that json.JSONEncoder(default=str).encode builds on every call,
-# built once: the C encoder with JSONEncoder's defaults, or, without the C
+# built once: the C encoder with JSONEncoder's defaults but no circular check
+# (markers None; no handler returns circular data), or, without the C
 # accelerator, JSONEncoder itself.  Either takes (obj, 0) and returns the chunks
 # of obj's JSON text.
-_MARKERS: dict = {}  # ids of the containers being encoded; empty between calls
-_ENCODE = (json.encoder.c_make_encoder(_MARKERS, str, json.encoder.encode_basestring_ascii, None,
+_ENCODE = (json.encoder.c_make_encoder(None, str, json.encoder.encode_basestring_ascii, None,
                                        ": ", ", ", False, False, True)
            if json.encoder.c_make_encoder else json.JSONEncoder(default=str).iterencode)
 
@@ -582,7 +590,6 @@ def _render(ok: bool, value, meta, plain: bool) -> str:
             value = [value]
         return "".join(f"{item}\n" for item in value)
     except ValueError:  # str() of an int past sys.get_int_max_str_digits()
-        _MARKERS.clear()  # the C encoder leaves the containers it was inside
         limit = sys.get_int_max_str_digits()
         raise UsageError(f"answer too large to print: over {limit} digits") from None
 
@@ -607,7 +614,7 @@ def _split(cmd: Command, tokens: list[str]) -> tuple[list[str], dict]:
                 raise UsageError(f"{cmd.area} {cmd.verb} {tok} needs a value")
             else:
                 try:
-                    options[key] = KINDS[kind](text)
+                    options[key] = _parse(kind, text)
                 except Exception as exc:
                     raise UsageError(f"{cmd.area} {cmd.verb} {tok}: {exc}") from None
         else:
@@ -626,7 +633,7 @@ def _run(tokens: list[str]) -> tuple:
         raise UsageError(f"expected arguments: {' '.join(cmd.nargs)}")
     args, form = [], None
     for kind, text in zip(cmd.kinds, texts):
-        value = KINDS[kind](text)
+        value = _parse(kind, text)
         if kind in WORD_KINDS:
             value, word_form = value
             form = form or word_form

@@ -127,6 +127,17 @@ def test_usage_errors_exit_2():
     for line in (["lps", "run", "٣٤٣"], ["word", "prefix-table", "١٢١"], ["lps", "run", "²"]):
         rc, out = run_cli(line)  # str.isdigit and int() accept these; a literal is ASCII
         assert rc == 2 and json.loads(out)["value"] == f"cannot parse word {line[-1]!r}"
+    # every other argument kind is ASCII only too, options included
+    for line, want in ((["word", "thue-morse", "٣"], "cannot parse int '٣'"),
+                       (["gen", "rho", "²"], "cannot parse int '²'"),
+                       (["rle", "decode", "1:٣"], "cannot parse runs '1:٣'"),
+                       (["lfsr", "primitive", "x٣+x+1"], "cannot parse poly 'x٣+x+1'"),
+                       (["huffman", "entropy", "٠.٥,٠.٥"], "cannot parse float-list '٠.٥,٠.٥'"),
+                       (["sat", "solve", "١,2"], "cannot parse text '١,2'"),
+                       (["word", "factors", "0110", "--list-max", "٣"],
+                        "word factors --list-max: cannot parse count '٣'")):
+        rc, out = run_cli(line)
+        assert rc == 2 and json.loads(out)["value"] == want, line
 
 
 def test_randomized_commands_require_seed():
@@ -536,35 +547,28 @@ def test_selftest_run_writes_one_json_line_per_command(monkeypatch, capsys):
         raise ValueError("boom")
 
     monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None),
-                                             ("broken", "fast", broken)])
-    want = {"ok": False, "value": "FAILED", "meta": {"failures": 1, "failed": ["broken"]}}
+                                             ("broken", "fast", broken),
+                                             ("slow", "full", lambda: None)])
+    # meta names each check that ran, in run order, with its seconds and error
+    checks = [{"name": "fine", "level": "fast", "error": None},
+              {"name": "broken", "level": "fast", "error": "ValueError: boom"}]
+    want = {"ok": False, "value": "FAILED",
+            "meta": {"failures": 1, "failed": ["broken"], "checks": checks}}
+
+    def untimed(out):
+        records = [json.loads(line) for line in out.splitlines()]
+        for record in records:
+            for check in record["meta"]["checks"]:
+                assert check.pop("seconds") >= 0
+        return records
+
     assert main(["selftest", "run"]) == 1
     out, err = capsys.readouterr()
-    assert [json.loads(line) for line in out.splitlines()] == [want]
+    assert untimed(out) == [want]
     assert "FAIL broken: ValueError: boom" in err  # progress goes to stderr
     monkeypatch.setattr(sys, "stdin", io.StringIO("selftest run\nselftest run --level full\n"))
     assert main(["batch"]) == 1
     out, _ = capsys.readouterr()
-    assert [json.loads(line) for line in out.splitlines()] == [want, want]
-
-
-def test_selftest_run_json_gives_one_record_per_check(monkeypatch, capsys):
-    def broken():
-        raise ValueError("boom")
-
-    monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None),
-                                             ("broken", "fast", broken),
-                                             ("slow", "full", lambda: None)])
-    assert main(["selftest", "run", "--level", "fast", "--json"]) == 1
-    out, err = capsys.readouterr()
-    [record] = [json.loads(line) for line in out.splitlines()]
-    assert record["ok"] is False and record["meta"] == {"failures": 1, "failed": ["broken"]}
-    fine, failing = record["value"]  # the full-level check does not run at level fast
-    assert set(fine) == {"name", "level", "seconds", "error"}
-    assert (fine["name"], fine["level"], fine["error"]) == ("fine", "fast", None)
-    assert failing["name"] == "broken" and failing["error"] == "ValueError: boom"
-    assert fine["seconds"] >= 0 and "FAIL broken: ValueError: boom" in err
-    monkeypatch.setattr(selftest, "CHECKS", [("fine", "fast", lambda: None)])
-    assert main(["selftest", "run", "--json"]) == 0
-    value = json.loads(capsys.readouterr().out)["value"]
-    assert [r["name"] for r in value] == ["fine"]
+    full = {**want, "meta": {**want["meta"],
+                             "checks": checks + [{"name": "slow", "level": "full", "error": None}]}}
+    assert untimed(out) == [want, full]
