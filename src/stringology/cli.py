@@ -6,10 +6,10 @@ A command takes only the options its REGISTRY row declares (--help lists
 them); `--plain` is the one global flag and `--` ends the options.
 
 Words are accepted as letter strings (a-z), digit strings, or comma-separated
-integers.  Every argument is ASCII only.  "?" stands for the don't-care symbol; only the word of
-`period local` and the pattern of `wildcard search` accept it.  A negative
-symbol is an error, there too, except in the integer sequences of the
-`cartesian` verbs.  Output is one JSON object per line ({ok, value, meta})
+integers.  Every argument is ASCII only.  "?" stands for the don't-care
+symbol; only the word of `period local` and the pattern of `wildcard search`
+accept it.  A negative symbol is an error, there too, except in the integer
+sequences of the `cartesian` verbs.  Output is one JSON object per line ({ok, value, meta})
 unless --plain is given.  Exit status: 0 ok, 1 for domain-level "no"
 answers, 2 for errors.  Every error, a usage error included, is still exactly
 one {ok: false} line, and batch mode goes on with the next line.  So is an
