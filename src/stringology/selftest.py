@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from itertools import chain
 from time import perf_counter
 from typing import Callable, Iterator, NamedTuple
 
@@ -361,7 +362,8 @@ def _assert_side_ranks_match_definition(w) -> None:
 
 
 @check("wildcard index: definition of side lists "
-       "(random and unary words <= 64, Thue-Morse k <= 7, Fibonacci k <= 10)", "fast")
+       "(random and unary words <= 64, Thue-Morse k <= 7, Fibonacci k <= 10; "
+       "the five index families at 512 and 1024)", "fast")
 def _wildcard_def():
     rng = random.Random(47)
     words = [[rng.randrange(2) for _ in range(rng.randint(1, 64))] for _ in range(40)]
@@ -369,6 +371,8 @@ def _wildcard_def():
     words += [[rng.randrange(4) for _ in range(rng.randint(1, 64))] for _ in range(40)]
     rng = random.Random(8)
     words += [[rng.randrange(3) for _ in range(rng.randint(1, 64))] for _ in range(40)]
+    rng = random.Random(1)
+    words += [w for n in (512, 1024) for w in index_family_words(n, rng)]
     for w in words + [thue_morse(k) for k in range(8)] + [fibonacci_word(k) for k in range(11)]:
         _assert_side_ranks_match_definition(w)
 
@@ -384,7 +388,26 @@ def _assert_search_matches_scan(w, rng, queries: int, sigma: int, holes: float) 
         assert wildcard_search(idx, pat) == oracles.approx_occurs(pat, w), (w, pat)
 
 
-@check("wildcard search vs naive scan (random texts)", "fast")
+def _assert_factor_queries_match_scan(w, rng, queries: int, absent: list[int]) -> None:
+    """Patterns shaped like the index workload's: text factors of 4 to 12
+    symbols, every other one with a hole; then each with one symbol, not
+    the hole, swapped for a symbol of ``absent``, which the text lacks."""
+    idx = wildcard_index(w)
+    for i in range(queries):
+        m = rng.randint(4, min(12, len(w)))
+        start = rng.randrange(len(w) - m + 1)
+        pat = w[start:start + m]
+        if i % 2 == 0:
+            pat[rng.randrange(m)] = HOLE
+        assert wildcard_search(idx, pat) == oracles.approx_occurs(pat, w), (w, pat)
+        j = rng.choice([k for k in range(m) if pat[k] != HOLE])
+        pat[j] = rng.choice(absent)
+        assert not wildcard_search(idx, pat), (w, pat)
+        assert not oracles.approx_occurs(pat, w), (w, pat)
+
+
+@check("wildcard search vs naive scan (random texts; the five index families "
+       "at 512 and 1024, with the sentinel value and in-range symbols the text lacks)", "fast")
 def _wildcard_search():
     rng = random.Random(53)
     for _ in range(30):
@@ -394,6 +417,13 @@ def _wildcard_search():
     for _ in range(40):
         n, sigma = rng.randint(1, 300), rng.choice((2, 2, 3, 4))
         _assert_search_matches_scan([rng.randrange(sigma) for _ in range(n)], rng, 80, sigma, 0.85)
+    words = [w for n in (512, 1024) for w in index_family_words(n, random.Random(1))]
+    rng = random.Random(10)
+    for w in words:
+        _assert_factor_queries_match_scan(w, rng, 16, [max(w) + 1])  # the sentinel value
+        # odd symbols only: every even one up to the largest is in range and absent
+        odd = [2 * c + 1 for c in w]
+        _assert_factor_queries_match_scan(odd, rng, 8, list(range(0, max(odd), 2)))
 
 
 @check("cartesian matching vs naive windows (random)", "fast")
@@ -470,17 +500,26 @@ def _suffix_tree_fast():
         view = tree.lexicographic()
         assert view.sa == oracles.suffix_array(x), x
         assert [view.sa[r] for r in view.rank] == list(range(tree.n)), x
+        lo, hi = view.lo, view.hi
         for v in range(len(tree.parent)):
-            # the leaves below v, every start at the root, are its leaf range
-            assert sorted(view.sa[view.lo[v]:view.hi[v]]) == sorted(leaves_below(tree, v)), (x, v)
+            # By induction from the leaves, sa[lo[v]:hi[v]] holds the leaves
+            # below v: a leaf's range is its own rank, and the ranges of an
+            # internal node's children tile its range.
             if not tree.is_leaf(v):
                 assert v == 0 or len(tree.children[v]) >= 2, (x, v)
+                edge = lo[v]
+                for a, b in sorted((lo[c], hi[c]) for c in tree.children[v].values()):
+                    assert a == edge, (x, v)
+                    edge = b
+                assert edge == hi[v], (x, v)
                 continue
-            spelled, u = [], v  # a leaf's root path spells its suffix
+            s = tree.suffix_label[v]
+            assert (lo[v], hi[v]) == (view.rank[s], view.rank[s] + 1), (x, v)
+            pieces, u = [], v  # a leaf's root path spells its suffix
             while u:
-                spelled[:0] = _edge_word(tree, u)
+                pieces.append(_edge_word(tree, u))
                 u = tree.parent[u]
-            assert spelled == tree.text[tree.suffix_label[v]:], (x, v)
+            assert list(chain.from_iterable(reversed(pieces))) == tree.text[s:], (x, v)
 
 
 def _assert_sub_table(x) -> None:

@@ -21,6 +21,15 @@ Fibonacci words.  A node with one light leaf gets that leaf's rank as its
 list with no slice or sort; on a unary word every node takes that path.
 A query reads the tree's arrays into locals once per descent, so each
 pattern symbol costs one child lookup or one text read.
+
+Before it descends, a query checks its pattern in this order: at most one
+hole, then no negative symbol other than the hole, then the alphabet.  The
+index keeps the set of the text's symbols and the hole, so the common case
+(every symbol in that set) is one C-level ``issuperset`` call; only a pattern
+that fails it is scanned again, for a negative symbol (an error) or else a
+symbol the text lacks (no occurrence).  The sentinel is max(text) + 1, never
+a text symbol, so a pattern holding it fails the set test like any other
+absent symbol and needs no test of its own.
 """
 
 from __future__ import annotations
@@ -37,6 +46,7 @@ class WildcardIndex:
         word = list(word)  # read once: the hole check must not use up an iterator
         if HOLE in word:
             raise ValueError("text must not contain holes")
+        self.symbols = frozenset(word) | {HOLE}  # what a pattern may hold and still occur
         self.tree: SuffixTree = suffix_tree(word)
         tree = self.tree
         n, depth = tree.n, tree.depth
@@ -97,24 +107,33 @@ def _descend_exact(tree: SuffixTree, node: int, offset: int,
 
 
 def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
-    """Does the pattern (at most one hole) occur in the indexed word?"""
+    """Does the pattern (at most one hole) occur in the indexed word?
+
+    Checks, in order: more than one hole raises ValueError; the empty
+    pattern occurs; a pattern inside ``index.symbols`` goes on to the
+    descent.  Otherwise a negative symbol other than HOLE raises ValueError
+    and any other symbol, the sentinel value included, is one the text
+    lacks, so the answer is False."""
     holes = pattern.count(HOLE)
     if holes > 1:
         raise ValueError("at most one hole supported")
     if not pattern:
         return True
-    if min(pattern) < HOLE:  # HOLE is -1, the one negative symbol with a meaning
-        raise ValueError("pattern symbols must be non-negative or HOLE")
+    if not index.symbols.issuperset(pattern):
+        if min(pattern) < HOLE:  # HOLE is -1, the one negative symbol with a meaning
+            raise ValueError("pattern symbols must be non-negative or HOLE")
+        return False  # a symbol the text lacks never occurs
     tree = index.tree
-    if max(pattern) >= tree.sentinel:
-        return False  # out-of-alphabet symbols never occur in the text
     if not holes:
         return _descend_exact(tree, 0, 0, pattern) is not None
     h = pattern.index(HOLE)
-    locus = _descend_exact(tree, 0, 0, pattern[:h])  # exact part before the hole
-    if locus is None:
-        return False
-    v, off = locus
+    if h:
+        locus = _descend_exact(tree, 0, 0, pattern[:h])  # exact part before the hole
+        if locus is None:
+            return False
+        v, off = locus
+    else:  # the hole comes first: start at the root
+        v, off = 0, 0
     rest = pattern[h + 1:]
     if off > 0:
         # mid-edge: the hole must match the single next edge symbol

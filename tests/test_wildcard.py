@@ -53,7 +53,43 @@ def test_pattern_checks_run_in_order(kind):
     assert wildcard_search(idx, kind([HOLE, 9])) is False
 
 
-def test_unary_word_side_tries_trivial():
+@pytest.mark.parametrize("kind", [list, tuple])
+@pytest.mark.parametrize("text, pattern", [
+    ("abaab", [2, HOLE]),  # 2 is the sentinel value of abaab
+    ("abaab", [0, 2, HOLE, 0]),  # the sentinel value before the hole
+    ("abaab", [0, HOLE, 2]),  # just after it
+    ("abaab", [0, HOLE, 0, 2]),  # last
+    ("abaab", [0, 1, 2]),
+    ("acac", [1, HOLE]),  # b lies inside the text's range but never occurs
+    ("acac", [HOLE, 1]),
+    ("acac", [1]),
+])
+def test_symbols_the_text_lacks_never_occur(kind, text, pattern):
+    w = letters(text)
+    assert wildcard_search(wildcard_index(w), kind(pattern)) is False
+    assert not approx_occurs(pattern, w)
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_errors_come_before_the_alphabet_test(kind):
+    idx = wildcard_index(letters("abaab"))
+    with pytest.raises(ValueError, match="non-negative"):
+        wildcard_search(idx, kind([5, -2]))
+    with pytest.raises(ValueError, match="at most one hole"):
+        wildcard_search(idx, kind([HOLE, HOLE, 5]))
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_symbols_equal_to_an_int_match_it(kind):
+    # True == 1 == 1.0, and they hash alike: each is the symbol b
+    idx = wildcard_index(letters("abaab"))
+    assert wildcard_search(idx, kind([0, True]))
+    assert wildcard_search(idx, kind([1.0, HOLE, 0]))
+    assert wildcard_search(idx, kind([HOLE, 1.0]))
+    assert not wildcard_search(idx, kind([True, True]))
+
+
+def test_unary_word_side_lists_trivial():
     n = 12
     idx = wildcard_index([0] * n)
     tree = idx.tree
