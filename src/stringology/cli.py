@@ -20,8 +20,6 @@ error line states it.
 
 from __future__ import annotations
 
-import json
-import shlex
 import sys
 from importlib import import_module
 from typing import TYPE_CHECKING, Sequence
@@ -144,7 +142,8 @@ def _bits(word: Sequence[int]) -> str:
 
 
 class Command:
-    """One row of the command table.
+    """One row of the command table, built in one pass over ``spec`` and one
+    over ``ops``.
 
     ``ops`` and ``spec`` are space-separated.  An op is ``module:function``,
     the library function the command calls; ``selftest`` alone names the
@@ -155,16 +154,25 @@ class Command:
     __slots__ = ("area", "verb", "ops", "modules", "nargs", "kinds", "options", "shape", "meta")
 
     def __init__(self, area: str, verb: str, ops: str, spec: str, shape, meta: str = ""):
-        items = [item.partition(":") for item in spec.split()]
-        args = [(name, kind or "word") for name, _, kind in items if not name.startswith("--")]
-        split = [op.rpartition(":") for op in ops.split()]
+        nargs, kinds, options = [], [], {}
+        for item in spec.split():
+            name, _, kind = item.partition(":")
+            if name.startswith("--"):
+                options[name] = kind or None
+            else:
+                nargs.append(name)
+                kinds.append(kind or "word")
+        modules, fns = [], []
+        for op in ops.split():
+            module, _, fn = op.rpartition(":")
+            modules.append(module)
+            fns.append(fn)
         self.area, self.verb = area, verb
-        self.ops = tuple(fn for _, _, fn in split)        # function names, as tracing reads them
-        self.modules = tuple(mod for mod, _, _ in split)  # the module of each op, "" for none
-        self.nargs = tuple(n for n, _ in args)  # positional argument names
-        self.kinds = tuple(k for _, k in args)  # how each argument is parsed: a key of KINDS
-        # "--name" -> a key of KINDS, None for a flag
-        self.options = {name: kind or None for name, _, kind in items if name.startswith("--")}
+        self.ops = tuple(fns)          # function names, as tracing reads them
+        self.modules = tuple(modules)  # the module of each op, "" for none
+        self.nargs = tuple(nargs)      # positional argument names
+        self.kinds = tuple(kinds)      # how each argument is parsed: a key of KINDS
+        self.options = options         # "--name" -> a key of KINDS, None for a flag
         # a SHAPES key, field names for a tuple result, or a handler
         # (args, form, **options) -> (ok, value, meta)
         self.shape = shape
@@ -569,12 +577,19 @@ def covered_operations() -> list[str]:
 
 # The encoder that json.JSONEncoder(default=str).encode builds on every call,
 # built once: the C encoder with JSONEncoder's defaults but no circular check
-# (markers None; no handler returns circular data), or, without the C
-# accelerator, JSONEncoder itself.  Either takes (obj, 0) and returns the chunks
-# of obj's JSON text.
-_ENCODE = (json.encoder.c_make_encoder(None, str, json.encoder.encode_basestring_ascii, None,
-                                       ": ", ", ", False, False, True)
-           if json.encoder.c_make_encoder else json.JSONEncoder(default=str).iterencode)
+# (markers None; no handler returns circular data), taken from _json itself,
+# so the json package and its decoder are never imported.  Without the C
+# accelerator it is JSONEncoder itself.  Either takes (obj, 0) and returns the
+# chunks of obj's JSON text.
+try:
+    import _json
+except ImportError:
+    import json
+
+    _ENCODE = json.JSONEncoder(default=str).iterencode
+else:
+    _ENCODE = _json.make_encoder(None, str, _json.encode_basestring_ascii, None, ": ", ", ",
+                                 False, False, True)
 
 
 def _render(ok: bool, value, meta, plain: bool) -> str:
@@ -653,6 +668,8 @@ def _respond(line: str | list[str], plain: bool) -> tuple[int, str]:
     exit status and exactly one result, whatever fails on the way."""
     try:
         if isinstance(line, str):
+            import shlex  # here, off the cold start: only a batch text line is split
+
             try:
                 line = shlex.split(line)
             except ValueError as exc:  # unbalanced quotes

@@ -5,12 +5,16 @@ definitions the table-driven codec in ``stringology.cli`` must reproduce, kept
 here as they were; the one change of meaning is that a literal must be ASCII.
 """
 
+import ast
 import itertools
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import stringology
 from stringology.cli import UsageError, _render, format_word, parse_word
 from stringology.gf2 import Gf2Poly
 from stringology.words import HOLE
@@ -110,3 +114,56 @@ def test_render_of_an_int_past_the_print_limit_is_the_same_error_line():
         reference_render(True, value, {})
     with pytest.raises(UsageError, match="^answer too large to print: over 4300 digits$"):
         _render(True, value, {}, False)
+
+
+# imports the CLI, with the C accelerator ``_json`` blocked when argv[2] is
+# "block" and as it is when it is "c", and prints the encoder it chose, then
+# _respond's result per line
+ENCODER_CHILD = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[2] == "block":
+    sys.modules["_json"] = None  # import _json now raises ImportError
+import stringology.gf2 as gf2
+import stringology.subseq as subseq
+from stringology import cli
+
+# results no row returns today, reached by rebinding the ops, as a tracer does
+subseq.count_subsequences = lambda w: ((w[0], (w[1], tuple(w))), ())
+subseq.max_subs = lambda n: gf2.Gf2Poly.from_exponents([n, 2, 0])
+encoder = getattr(cli._ENCODE, "__self__", cli._ENCODE)
+print(repr((type(encoder).__module__, type(encoder).__name__, encoder.default is str)))
+for line in sys.argv[3:]:
+    print(repr(cli._respond(line, False)))
+"""
+
+ENCODER_LINES = ["subs count 0,1,2", "subs max 5", "lps run ٣٤٣",
+                 "unbordered palprefix3 10000", "word thue-morse 3"]
+
+
+def respond_in_child(mode):
+    src = Path(stringology.__file__).resolve().parent.parent
+    out = subprocess.run([sys.executable, "-I", "-c", ENCODER_CHILD, str(src), mode,
+                          *ENCODER_LINES], capture_output=True, text=True, check=True,
+                         timeout=60)
+    encoder, *results = map(ast.literal_eval, out.stdout.splitlines())
+    return encoder, results
+
+
+def test_the_pure_python_encoder_gives_the_same_bytes():
+    """Without _json the CLI encodes through json.JSONEncoder(default=str),
+    and every line reads as it does through the C encoder."""
+    encoder, fallback = respond_in_child("block")
+    assert encoder == ("json.encoder", "JSONEncoder", True)
+    encoder, c_path = respond_in_child("c")
+    assert encoder == ("_json", "Encoder", True)
+    assert fallback == c_path
+    nested, poly, non_ascii, too_large, plain = c_path
+    assert nested == (0, '{"ok": true, "value": [[0, [1, [0, 1, 2]]], []], "meta": {}}\n')
+    assert poly == (0, '{"ok": true, "value": "Gf2Poly(bits=37)", "meta": {}}\n')
+    rc, text = non_ascii
+    assert rc == 2 and text.isascii() and "\\u0663\\u0664\\u0663" in text
+    assert json.loads(text)["value"] == "cannot parse word '٣٤٣'"
+    assert too_large == (2, '{"ok": false, "value": "answer too large to print: '
+                            'over 4300 digits", "meta": {}}\n')
+    assert plain == (0, '{"ok": true, "value": "abbabaab", "meta": {"length": 8}}\n')

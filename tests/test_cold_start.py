@@ -1,8 +1,8 @@
-"""Cold start: ``import stringology.cli`` loads no library module, and a
-command loads only the modules it calls.  Each check runs in a fresh ``-I``
-interpreter, so nothing a test imported earlier hides an import."""
+"""Cold start: ``import stringology.cli`` loads no library module, no part of
+the json package and no shlex, and a command loads only the modules it
+calls.  Each check runs in a fresh ``-I`` interpreter, so nothing a test
+imported earlier hides an import."""
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +13,10 @@ import stringology
 
 SRC = Path(stringology.__file__).resolve().parent.parent
 
+# imports nothing before the measured import but what the interpreter itself
+# preloaded, and prints one line of module names for each of the two sets
 CHILD = (
-    "import io, json, sys\n"
+    "import io, sys\n"
     "sys.path.insert(0, sys.argv[1])\n"
     "start = set(sys.modules)\n"
     "import stringology.cli\n"
@@ -22,10 +24,15 @@ CHILD = (
     "out, sys.stdout = sys.stdout, io.StringIO()\n"
     "stringology.cli.main(sys.argv[2:])\n"
     "sys.stdout = out\n"
-    "print(json.dumps([sorted(imported - start), sorted(set(sys.modules) - imported)]))\n"
+    "print(' '.join(sorted(imported - start)))\n"
+    "print(' '.join(sorted(set(sys.modules) - imported)))\n"
 )
 
 HEAVY = {"dataclasses", "fractions", "inspect"}
+# what the CLI needs of these is the C encoder in _json and, for a batch text
+# line, shlex; the json package (its decoder above all) costs about half the
+# cold import
+LAZY = {"json", "json.decoder", "json.scanner", "json.encoder", "shlex"}
 
 # the names the package exported when it imported every module eagerly
 PUBLIC_NAMES = """
@@ -47,12 +54,12 @@ PUBLIC_NAMES = """
 """.split()
 
 
-def loads(*argv):
+def loads(*argv, stdin=""):
     """(modules ``import stringology.cli`` loads, modules ``main(argv)`` adds)."""
-    out = subprocess.run([sys.executable, "-I", "-c", CHILD, str(SRC), *argv],
+    out = subprocess.run([sys.executable, "-I", "-c", CHILD, str(SRC), *argv], input=stdin,
                          capture_output=True, text=True, check=True, timeout=60)
-    imported, added = json.loads(out.stdout)
-    return set(imported), set(added)
+    imported, added = out.stdout.split("\n")[:2]
+    return set(imported.split()), set(added.split())
 
 
 def package(modules):
@@ -63,6 +70,14 @@ def test_cli_import_loads_only_words():
     imported, _ = loads("--help")
     assert package(imported) == {"stringology", "stringology.cli", "stringology.words"}
     assert not imported & HEAVY
+    assert not imported & LAZY
+
+
+def test_only_a_batch_text_line_loads_shlex():
+    _, added = loads("wildcard", "search", "abaab", "a?a")
+    assert "shlex" not in added
+    _, added = loads("batch", stdin="wildcard search abaab 'a?a'\n")
+    assert "shlex" in added and not added & (LAZY - {"shlex"})
 
 
 def test_help_and_a_words_command_load_nothing_more():
