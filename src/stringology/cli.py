@@ -22,11 +22,13 @@ from __future__ import annotations
 
 import sys
 from importlib import import_module
-from typing import TYPE_CHECKING, Sequence
 
 from .words import HOLE
 
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
 if TYPE_CHECKING:
+    from typing import Sequence
+
     from .gf2 import Gf2Poly
 
 LETTERS = "abcdefghijklmnopqrstuvwxyz"

@@ -41,7 +41,7 @@ def is_attractor(x: Sequence[int], positions: set[int] | Sequence[int]) -> bool:
     are rejected."""
     n = len(x)
     if n > _ATTRACTOR_MAX:
-        raise ValueError(f"is_attractor bounded at |x| <= {_ATTRACTOR_MAX}")
+        raise SizeLimitError(f"is_attractor bounded at |x| <= {_ATTRACTOR_MAX}")
     pos = sorted(set(positions))
     if pos and (pos[0] < 0 or pos[-1] >= n):
         raise ValueError("attractor position out of range")

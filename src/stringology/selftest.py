@@ -595,15 +595,27 @@ def _minsub_fast():
         _assert_minsub(w, all_subsequences(w), range(1, len(w) + 1))
 
 
-@check("lcs equals the table-DP oracle, positions and ties (random, length <= 40)", "fast")
+@check("lcs equals the table-DP oracle, positions and ties (random, length <= 40; "
+       "long left runs, length <= 200)", "fast")
 def _lcs_fast():
     rng = random.Random(83)
+    pairs = []
     for _ in range(300):
         k = rng.randint(1, 5)
-        u = [rng.randrange(k) for _ in range(rng.randint(0, 40))]
-        v = [rng.randrange(k) for _ in range(rng.randint(0, 40))]
+        pairs.append(([rng.randrange(k) for _ in range(rng.randint(0, 40))],
+                      [rng.randrange(k) for _ in range(rng.randint(0, 40))]))
+    # long runs of traceback left steps, which lcs takes in one jump: binary
+    # against mostly a third symbol, Thue-Morse against Fibonacci, unary
+    # against binary
+    tm, fib = thue_morse(8), fibonacci_word(12)
+    for n in (10, 50, 200):
+        binary = [rng.randrange(2) for _ in range(n)]
+        third = [2 if rng.random() < 0.9 else rng.randrange(2) for _ in range(n)]
+        pairs += [(binary, third), (tm[:n], fib[:n]), ([0] * n, binary)]
+    for u, v in pairs:
         assert lcs(u, v) == oracles.lcs_table(u, v)
-        assert lcs(u, u[::-1]) == oracles.lcs_table(u, u[::-1])
+        for x in (u, v):
+            assert lcs(x, x[::-1]) == oracles.lcs_table(x, x[::-1])
 
 
 def _assert_distinguishes(x, y) -> None:
@@ -663,6 +675,17 @@ def _scover_full():
             if len(x) >= len(y):
                 continue
             assert s_cover_check(x, y) == s_cover_check_naive(x, y)
+
+
+@check("s-cover check vs coverage oracle (structured y of length 1000 and 1024)", "full")
+def _scover_structured_full():
+    rng = random.Random(71)
+    tm, fib = thue_morse(10), fibonacci_word(15)  # 1024 and 1597 symbols
+    for n in (1000, 1024):
+        for y in (tm[:n], fib[:n], [rng.randrange(3) for _ in range(n)], [0] * n):
+            third = sorted(rng.sample(range(n), n // 3))
+            for x in (y[:n // 2] + y[-1:], y[:-1], [y[i] for i in third]):
+                assert s_cover_check(x, y) == s_cover_check_naive(x, y)
 
 
 @check("anticover vs exhaustive subset search (all |x| <= 14)", "full")

@@ -12,7 +12,10 @@ naive s-cover routes stay here while the benchmark reads them."""
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Sequence
 
 from .words import SizeLimitError, all_subsequences, fibonacci_number
@@ -216,16 +219,25 @@ def lcs(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int]]:
     int, the bit-vector recurrence of Allison and Dix (1986) in the form of
     Hyyro (2004): bit j of ``rows[i]`` is 0 exactly where
     T[i][j+1] = T[i][j] + 1, so T[i][j] = j - popcount(rows[i] & (2^j - 1)).
-    Each row costs a few big-int operations on the match mask of u[i-1]
-    in v.
+    With M the match mask of u[i-1] in v and x = s & M, the next row is
+    ``((s + x) | (s & ~M)) & full``; x is a submask of s, so s & ~M is s - x.
 
     The traceback walks from (n, m) as the table DP of
     ``oracles.lcs_table`` does: a match steps diagonally, otherwise it
     steps up when T[i-1][j] >= T[i][j-1], else left.  Off a match
     T[i][j] is the larger of the two, so "up" is T[i-1][j] == T[i][j];
     the output is the oracle's, position for position, which
-    ``longest_palindromic_subsequence`` relies on.  The n+1 rows take
-    about n*m/8 bytes (2 MB at the 4000 cap), not (n+1)(m+1) boxed ints.
+    ``longest_palindromic_subsequence`` relies on.
+
+    A left run ends in one jump.  Let t = T[i][j] > 0 with no match at
+    (i, j) and the up test failed: then T[i-1][j] = t - 1 and T[i][j-1] = t.
+    Row i-1 does not decrease in j, so T[i-1][j'] <= t - 1 for every
+    j' <= j, and the up test fails at each column the walk reaches in
+    row i; T[i][j'] stays t on the way, so each of those steps is "left"
+    until a match.  T[i][0] = 0 < t, so the match exists: it is the
+    largest j' < j with v[j'-1] == u[i-1], the bit length of M's bits
+    below j-1.  The n+1 rows take about n*m/8 bytes (2 MB at the 4000
+    cap), not (n+1)(m+1) boxed ints.
     """
     n, m = len(u), len(v)
     if n > 4000 or m > 4000:
@@ -233,12 +245,13 @@ def lcs(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int]]:
     masks: dict[int, int] = {}
     for j, c in enumerate(v):
         masks[c] = masks.get(c, 0) | (1 << j)
+    match = list(map(masks.get, u, repeat(0)))
     full = (1 << m) - 1
     s = full
     rows = [s]
-    for c in u:
-        match = masks.get(c, 0)
-        s = ((s + (s & match)) | (s & ~match)) & full
+    for mask in match:
+        x = s & mask
+        s = ((s + x) | (s - x)) & full
         rows.append(s)
     alpha: list[int] = []
     beta: list[int] = []
@@ -253,42 +266,37 @@ def lcs(u: Sequence[int], v: Sequence[int]) -> tuple[list[int], list[int]]:
             t -= 1
         elif j - (rows[i - 1] & ((1 << j) - 1)).bit_count() == t:  # T[i-1][j]
             i -= 1
-        else:
-            j -= 1
+        else:  # the left run to the next match in row i
+            j = (match[i - 1] & ((1 << (j - 1)) - 1)).bit_length()
     return alpha[::-1], beta[::-1]
 
 
 def longest_palindromic_subsequence(x: Sequence[int]) -> list[int]:
-    """Longest palindromic subsequence via mutually reversed subsequences."""
+    """Longest palindromic subsequence via mutually reversed subsequences.
+
+    ``lcs(x, x[::-1])`` pairs position alpha[s] of x with n-1-beta[s], which
+    holds the same letter; the first rises and the second falls, so they
+    cross where
+    alpha[s] + beta[s], which strictly increases, passes n-1.  The pairs
+    before the crossing nest into an even palindrome, and so do those after
+    it read from the end; a pair with alpha[s] + beta[s] = n-1 pairs a
+    position with itself and is the odd middle of both.  Of those two
+    candidates the longer one is returned, the lexicographically least on
+    a tie."""
     n = len(x)
     if n == 0:
         return []
-    alpha, beta = lcs(x, list(reversed(x)))
-    gamma = [n - 1 - b for b in reversed(beta)]
-    L = len(alpha)
-    # pair positions (alpha[s], gamma[L-1-s]); the prefix where the first
-    # coordinate stays left of the second nests into a palindrome, and so
-    # does the symmetric suffix; an equal pair supplies an odd middle
-    cands: list[list[int]] = []
-    a = alpha
-    g = [gamma[L - 1 - s] for s in range(L)]
-    h = 0
-    while h < L and a[h] < g[h]:
-        h += 1
-    pref = [x[a[s]] for s in range(h)]
-    cands.append(pref + pref[::-1])
-    if h < L and a[h] == g[h]:
-        cands.append(pref + [x[a[h]]] + pref[::-1])
-    h2 = L
-    while h2 > 0 and a[h2 - 1] > g[h2 - 1]:
-        h2 -= 1
-    suf = [x[g[s]] for s in range(L - 1, h2 - 1, -1)]
-    cands.append(suf + suf[::-1])
-    if h2 > 0 and a[h2 - 1] == g[h2 - 1]:
-        cands.append(suf + [x[a[h2 - 1]]] + suf[::-1])
-    best_len = max(len(c) for c in cands)
-    best = min(c for c in cands if len(c) == best_len)
-    return best
+    alpha, beta = lcs(x, x[::-1])
+    sums = list(map(add, alpha, beta))
+    h = bisect_left(sums, n - 1)  # pairs left of the crossing
+    k = bisect_right(sums, n - 1)  # h + 1 exactly when a middle exists
+    mid = [x[alpha[h]]] if k > h else []
+    pref = list(map(x.__getitem__, alpha[:h]))
+    suf = list(map(x.__getitem__, reversed(alpha[k:])))
+    left, right = pref + mid + pref[::-1], suf + mid + suf[::-1]
+    if len(left) != len(right):
+        return max(left, right, key=len)
+    return min(left, right)
 
 
 # ------------------------------------------------------------- counting

@@ -7,7 +7,9 @@ collide with a real symbol.
 
 from __future__ import annotations
 
-from typing import Sequence
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from typing import Sequence
 
 HOLE = -1
 

@@ -121,12 +121,14 @@ def test_criterion_1_worked_example_goldens():
 # The nine areas of criterion 2 -> the selftest checks whose sweeps cover it.
 ORACLE_AREAS = {
     "scover": ["s-cover check vs coverage oracle (exhaustive small)",
-               "s-cover check vs coverage oracle (all |y| <= 14, |x| <= 4)"],
+               "s-cover check vs coverage oracle (all |y| <= 14, |x| <= 4)",
+               "s-cover check vs coverage oracle (structured y of length 1000 and 1024)"],
     "anticover": ["anticover vs exhaustive subset search (all |x| <= 14)"],
     "subseq": ["counting: subsequence DP vs enumeration (length <= 12)",
                "minsub equals exhaustive minimum (length <= 10)",
                "minsub / counting vs enumeration (length <= 14)",
-               "lcs equals the table-DP oracle, positions and ties (random, length <= 40)",
+               "lcs equals the table-DP oracle, positions and ties (random, length <= 40; "
+               "long left runs, length <= 200)",
                "LPS length vs exhaustive palindromic search (length <= 15)"],
     "distinguish": ["distinguisher bound and membership (exhaustive n <= 8)",
                     "distinguisher length bound (all pairs n <= 10, samples to 12)"],

@@ -321,6 +321,12 @@ def test_subs_max_prints_up_to_its_cap():
     assert rc == 2 and record["value"] == "SizeLimitError: max_subs bounded at n <= 20000"
 
 
+def test_attractor_check_past_its_cap_is_a_size_limit_error():
+    rc, out = run_cli(["attractor", "check", "0" * 5001, "0"])
+    record = json.loads(out)
+    assert rc == 2 and record["value"] == "SizeLimitError: is_attractor bounded at |x| <= 5000"
+
+
 def test_unbordered_counts_past_its_cap_is_one_error_line():
     """The cap is the largest n whose every count has at most 4300 digits,
     so the CLI prints every answer it computes and refuses the rest at once."""

@@ -1,7 +1,7 @@
 """Cold start: ``import stringology.cli`` loads no library module, no part of
-the json package and no shlex, and a command loads only the modules it
-calls.  Each check runs in a fresh ``-I`` interpreter, so nothing a test
-imported earlier hides an import."""
+the json package, no shlex and no typing, and a command loads only the
+modules it calls.  Each check runs in a fresh ``-I`` interpreter, so nothing
+a test imported earlier hides an import."""
 
 import subprocess
 import sys
@@ -54,9 +54,9 @@ PUBLIC_NAMES = """
 """.split()
 
 
-def loads(*argv, stdin=""):
+def loads(*argv, stdin="", flags=("-I",)):
     """(modules ``import stringology.cli`` loads, modules ``main(argv)`` adds)."""
-    out = subprocess.run([sys.executable, "-I", "-c", CHILD, str(SRC), *argv], input=stdin,
+    out = subprocess.run([sys.executable, *flags, "-c", CHILD, str(SRC), *argv], input=stdin,
                          capture_output=True, text=True, check=True, timeout=60)
     imported, added = out.stdout.split("\n")[:2]
     return set(imported.split()), set(added.split())
@@ -71,6 +71,14 @@ def test_cli_import_loads_only_words():
     assert package(imported) == {"stringology", "stringology.cli", "stringology.words"}
     assert not imported & HEAVY
     assert not imported & LAZY
+
+
+def test_cli_import_loads_no_typing_without_site():
+    # -S skips site, whose .pth files may import typing on some hosts; a stock
+    # interpreter preloads none of typing, re, enum, functools or collections
+    imported, _ = loads("--help", flags=("-I", "-S"))
+    assert package(imported) == {"stringology", "stringology.cli", "stringology.words"}
+    assert "typing" not in imported
 
 
 def test_only_a_batch_text_line_loads_shlex():

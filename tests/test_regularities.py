@@ -20,7 +20,7 @@ from stringology.regularities import (
     two_anticover,
 )
 from stringology.rle import rle_decode, rle_encode
-from stringology.words import HOLE, fibonacci_word, thue_morse
+from stringology.words import HOLE, SizeLimitError, fibonacci_word, thue_morse
 
 from helpers import letters
 
@@ -134,7 +134,7 @@ def test_attractor_large_symbols_agree_with_oracle():
 
 
 def test_attractor_errors_come_cap_then_range_then_symbols():
-    with pytest.raises(ValueError, match="bounded"):
+    with pytest.raises(SizeLimitError, match="bounded"):
         is_attractor([HOLE] * 5001, {6000})
     with pytest.raises(ValueError, match="out of range"):
         is_attractor([HOLE, 0], {2})

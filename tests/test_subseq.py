@@ -266,7 +266,15 @@ def test_lps_examples():
     assert is_subsequence(got, letters("dcabcdba"))
     assert is_subsequence(letters("abba"), letters("dcabcdba"))
     assert is_subsequence(letters("dccd"), letters("dcabcdba"))
-    assert longest_palindromic_subsequence(letters("aaaa")) == letters("aaaa")
+
+
+@pytest.mark.parametrize("word, palindrome", [
+    ("abracadabra", "abacaba"), ("mississippi", "ississi"), ("dcabcdba", "dcacd"),
+    ("banana", "anana"), ("aaaa", "aaaa"),
+])
+def test_lps_choice_is_pinned(word, palindrome):
+    # which longest palindrome is returned follows lcs's traceback ties
+    assert longest_palindromic_subsequence(letters(word)) == letters(palindrome)
 
 
 def test_lps_matches_exhaustive():
