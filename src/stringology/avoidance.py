@@ -4,8 +4,7 @@ sequences for unbordered words, and list-constrained square-free words."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .words import SizeLimitError
 
@@ -269,10 +268,12 @@ def ternary_no_palprefix(n: int) -> int:
 # ------------------------------------------- list-constrained square-free
 
 
-@dataclass(frozen=True)
 class PushPopTrace:
-    ops: tuple[str, ...]      # sequence of "push" / "pop"
-    word: tuple[int, ...]     # residual stack content
+    __slots__ = ("ops", "word")
+
+    def __init__(self, ops: tuple[str, ...], word: tuple[int, ...]):
+        self.ops = ops    # sequence of "push" / "pop"
+        self.word = word  # residual stack content
 
 
 def _suffix_square_half(u: Sequence[int]) -> int:

@@ -4,17 +4,16 @@ factors sharing the same tree shape."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Sequence
+from collections.abc import Sequence
 
 
-@dataclass
 class CartesianTree:
-    root: int
-    left: list[int]   # child position or -1
-    right: list[int]
-    pushes: int = field(default=0)
-    pops: int = field(default=0)
+    __slots__ = ("root", "left", "right", "pushes", "pops")
+
+    def __init__(self, root: int, left: list[int], right: list[int], pushes=0, pops=0):
+        self.root = root
+        self.left, self.right = left, right  # child positions or -1
+        self.pushes, self.pops = pushes, pops
 
 
 def cartesian_tree(x: Sequence[int]) -> CartesianTree:

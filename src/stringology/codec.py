@@ -5,23 +5,18 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from collections.abc import Sequence
 
 WEIGHT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
 class HammingCode:
-    r: int
-    k: int
-    n: int
-    m_columns: tuple[int, ...]  # columns of M as r-bit integers, MSB = first row
+    __slots__ = ("r", "k", "n", "m_columns", "p_columns")
 
-    @property
-    def p_columns(self) -> tuple[int, ...]:
-        return self.m_columns + tuple(1 << (self.r - 1 - i) for i in range(self.r))
+    def __init__(self, r: int, k: int, n: int, m_columns: tuple[int, ...]):
+        self.r, self.k, self.n = r, k, n
+        self.m_columns = m_columns  # columns of M as r-bit integers, MSB = first row
+        self.p_columns = m_columns + tuple(1 << (r - 1 - i) for i in range(r))  # M, then I
 
 
 def hamming_build(r: int) -> HammingCode:
@@ -128,6 +123,8 @@ def huffman_cost(p: Sequence[float]) -> tuple[float, list[int]]:
 
 def kraft_sum(depths: Sequence[int]) -> Fraction:
     """Exact sum of 2**-depth over the leaves."""
+    from fractions import Fraction  # imports re: paid only by its callers
+
     return sum((Fraction(1, 2 ** d) for d in depths), Fraction(0))
 
 
@@ -139,10 +136,11 @@ def entropy(p: Sequence[float]) -> float:
 # --------------------------------------------------------------- pairing
 
 
-@dataclass(frozen=True)
 class PairPartition:
-    left: frozenset[int]
-    right: frozenset[int]
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: frozenset[int], right: frozenset[int]):
+        self.left, self.right = left, right
 
 
 def shrink_runs(x: Sequence[int]) -> list[int]:

@@ -6,18 +6,30 @@ suffix of a quadruple and the left window tables.  Its references are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 _ALPHABET_MAX = 64
 
 
-@dataclass(frozen=True)
 class Quadruple:
-    prefix: tuple[int, ...]
-    first_new: int   # letter completing the alphabet from the left
-    last_new: int    # letter completing the alphabet from the right
-    suffix: tuple[int, ...]
+    """(p, a, b, q), equal and hashed as that tuple: a is the letter completing
+    the alphabet from the left, b the one completing it from the right."""
+
+    __slots__ = ("prefix", "first_new", "last_new", "suffix")
+
+    def __init__(self, prefix: tuple[int, ...], first_new: int, last_new: int,
+                 suffix: tuple[int, ...]):
+        self.prefix, self.suffix = prefix, suffix
+        self.first_new, self.last_new = first_new, last_new
+
+    def _key(self) -> tuple:
+        return self.prefix, self.first_new, self.last_new, self.suffix
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is Quadruple else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
 
 
 def _alphabet_prefix(x: Sequence[int]) -> tuple[tuple[int, ...], int]:

@@ -3,8 +3,7 @@ testing, and the two-cycle decomposition of de Bruijn graphs."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .words import SizeLimitError
 
@@ -12,32 +11,41 @@ _EXPAND_MAX = 24
 _PRIMITIVE_MAX = 24
 
 
-@dataclass(frozen=True)
 class LfsrSpec:
-    taps: tuple[int, ...]  # (a_0, ..., a_{n-1})
+    __slots__ = ("taps",)
 
-    def __post_init__(self):
-        if len(self.taps) < 2:
+    def __init__(self, taps: tuple[int, ...]):
+        if len(taps) < 2:
             raise ValueError("need at least two taps")
-        if any(b not in (0, 1) for b in self.taps):
+        if any(b not in (0, 1) for b in taps):
             raise ValueError("taps must be bits")
-        if not any(self.taps):
+        if not any(taps):
             raise ValueError("taps must not be all zero")
+        self.taps = taps  # (a_0, ..., a_{n-1})
 
     @property
     def degree(self) -> int:
         return len(self.taps)
 
 
-@dataclass(frozen=True)
 class Gf2Poly:
     """Binary polynomial stored as a bit mask, bit i = coefficient of x**i."""
 
-    bits: int
+    __slots__ = ("bits",)
 
-    def __post_init__(self):
-        if self.bits < 0:
+    def __init__(self, bits: int):
+        if bits < 0:
             raise ValueError("bits must be non-negative")
+        self.bits = bits
+
+    def __eq__(self, other):
+        return self.bits == other.bits if type(other) is Gf2Poly else NotImplemented
+
+    def __hash__(self):
+        return hash(self.bits)
+
+    def __repr__(self):
+        return f"Gf2Poly(bits={self.bits!r})"
 
     @property
     def degree(self) -> int:

@@ -12,7 +12,7 @@ generator uses them there: ``subseq.s_cover_positions_naive``,
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterable, Sequence
 
 from .words import SizeLimitError, all_subsequences, approx_eq
 

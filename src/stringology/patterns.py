@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .rings import euler_circuit
 from .words import SizeLimitError

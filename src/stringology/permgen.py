@@ -14,7 +14,7 @@ Operation semantics per kind:
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .slp import Slp, SlpBuilder, rule_lengths, slp_expand
 from .words import SizeLimitError

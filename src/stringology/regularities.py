@@ -3,7 +3,7 @@ compressed cover / matching algorithms."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 from .rle import Run, check_runs, rle_length, rle_validate
 from .twosat import TwoSatFormula, two_sat_solve
@@ -286,13 +286,6 @@ def rle_find(pattern: Sequence[Run], text: Sequence[Run]) -> bool:
     if t == 1:
         bit, exp = pattern[0]
         return any(b == bit and e >= exp for b, e in text)
-    if t == 2:
-        (b1, e1), (b2, e2) = pattern
-        return any(
-            text[j][0] == b1 and text[j][1] >= e1
-            and text[j + 1][0] == b2 and text[j + 1][1] >= e2
-            for j in range(len(text) - 1)
-        )
     middle = list(pattern[1:t - 1])
     sep = ("#", 0)
     seq = middle + [sep] + list(text)

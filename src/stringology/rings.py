@@ -10,7 +10,7 @@ split into chains are balanced, so one Hierholzer walk per component,
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def cyclic_factors(w: Sequence[int], k: int) -> set[tuple[int, ...]]:

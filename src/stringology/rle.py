@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 Run = tuple[int, int]  # (bit, exponent >= 1)
 

@@ -497,10 +497,9 @@ def _suffix_tree_fast():
         tree = suffix_tree(x)
         assert _tree_shape(tree) == oracles.suffix_tree_shape(x), x
         assert_tree_bookkeeping(tree)
-        view = tree.lexicographic()
-        assert view.sa == oracles.suffix_array(x), x
-        assert [view.sa[r] for r in view.rank] == list(range(tree.n)), x
-        lo, hi = view.lo, view.hi
+        sa, rank, lo, hi = tree.lexicographic()
+        assert sa == oracles.suffix_array(x), x
+        assert [sa[r] for r in rank] == list(range(tree.n)), x
         for v in range(len(tree.parent)):
             # By induction from the leaves, sa[lo[v]:hi[v]] holds the leaves
             # below v: a leaf's range is its own rank, and the ranges of an
@@ -514,7 +513,7 @@ def _suffix_tree_fast():
                 assert edge == hi[v], (x, v)
                 continue
             s = tree.suffix_label[v]
-            assert (lo[v], hi[v]) == (view.rank[s], view.rank[s] + 1), (x, v)
+            assert (lo[v], hi[v]) == (rank[s], rank[s] + 1), (x, v)
             pieces, u = [], v  # a leaf's root path spells its suffix
             while u:
                 pieces.append(_edge_word(tree, u))

@@ -9,8 +9,7 @@ order, so nothing here recurses, however deep the grammar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .words import SizeLimitError
 
@@ -21,16 +20,23 @@ POW = "pow"
 _EXPAND_MAX = 1 << 22
 
 
-@dataclass(frozen=True)
 class Slp:
-    """Grammar producing one word; rules map id -> (kind, args...)."""
+    """Grammar producing one word; rules map id -> (kind, args...).  Compared
+    and printed by rules and start, which fix order; not hashable."""
 
-    rules: Mapping[int, tuple]
-    start: int
-    order: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("rules", "start", "order")
 
-    def __post_init__(self):
-        object.__setattr__(self, "order", _children_first(self.rules, self.start))
+    def __init__(self, rules: Mapping[int, tuple], start: int):
+        self.rules, self.start = rules, start
+        self.order = _children_first(rules, start)
+
+    def __eq__(self, other):
+        if type(other) is not Slp:
+            return NotImplemented
+        return (self.rules, self.start) == (other.rules, other.start)
+
+    def __repr__(self):
+        return f"Slp(rules={self.rules!r}, start={self.start!r})"
 
 
 def _children_first(rules: Mapping[int, tuple], start: int) -> tuple[int, ...]:

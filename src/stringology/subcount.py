@@ -3,8 +3,8 @@ independent ways; ``sub_table`` takes the marking walk, which sorts nothing."""
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from itertools import accumulate
-from typing import Sequence
 
 from .suffixtree import SuffixTree, suffix_tree
 

@@ -13,10 +13,9 @@ naive s-cover routes stay here while the benchmark reads them."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections.abc import Sequence
 from itertools import repeat
 from operator import add
-from typing import Sequence
 
 from .words import SizeLimitError, all_subsequences, fibonacci_number
 
@@ -24,15 +23,17 @@ _HARD_PAIR_MAX = 10 ** 6
 _MAX_SUBS_MAX = 2 * 10 ** 4  # the answer has 4181 digits, within the 4300 that print
 
 
-@dataclass(frozen=True)
 class SCoverTables:
-    """Witness tables of the linear s-cover test."""
+    """Witness tables of the linear s-cover test, each a tuple of ints."""
 
-    first: tuple[int, ...]   # lexicographically first embedding, starts at 0
-    last: tuple[int, ...]    # lexicographically last embedding, ends at |y|-1
-    left: tuple[int, ...]    # LEFT[i]  = |{k in first : k < i}|
-    right: tuple[int, ...]   # RIGHT[i] = |{k in last  : k > i}|
-    p: tuple[int, ...]       # longest x-prefix ending with y[i] seen so far
+    __slots__ = ("first", "last", "left", "right", "p")
+
+    def __init__(self, first, last, left, right, p):
+        self.first = first  # lexicographically first embedding, starts at 0
+        self.last = last    # lexicographically last embedding, ends at |y|-1
+        self.left = left    # LEFT[i]  = |{k in first : k < i}|
+        self.right = right  # RIGHT[i] = |{k in last  : k > i}|
+        self.p = p          # longest x-prefix ending with y[i] seen so far
 
 
 def _first_embedding(x: Sequence[int], y: Sequence[int]) -> list[int] | None:

@@ -12,19 +12,7 @@ suffixes instead.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
-
-
-class LexOrder(NamedTuple):
-    """The leaves of a suffix tree in symbol order, the sentinel largest.
-
-    ``sa[r]`` is the r-th smallest suffix of text and ``rank`` its inverse;
-    node v has the leaves ``sa[lo[v]:hi[v]]`` below it."""
-
-    sa: list[int]
-    rank: list[int]
-    lo: list[int]
-    hi: list[int]
+from collections.abc import Sequence
 
 
 class SuffixTree:
@@ -121,10 +109,14 @@ class SuffixTree:
     def is_leaf(self, v: int) -> bool:
         return self.suffix_label[v] >= 0
 
-    def lexicographic(self) -> LexOrder:
-        """One preorder visiting children in symbol order: each internal node
-        keeps one iterator over its sorted children on the stack, and a leaf
-        child is ranked where the iterator reaches it, never pushed."""
+    def lexicographic(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """(sa, rank, lo, hi): the leaves in symbol order, the sentinel largest.
+
+        ``sa[r]`` is the r-th smallest suffix of text and ``rank`` its inverse;
+        node v has the leaves ``sa[lo[v]:hi[v]]`` below it.  One preorder
+        visits children in symbol order: each internal node keeps one iterator
+        over its sorted children on the stack, and a leaf child is ranked where
+        the iterator reaches it, never pushed."""
         children, label = self.children, self.suffix_label
         lo = [0] * len(label)
         hi = [0] * len(label)
@@ -148,7 +140,7 @@ class SuffixTree:
             else:  # every node below the top of path has been visited
                 stack.pop()
                 hi[path.pop()] = r
-        return LexOrder(sa, rank, lo, hi)
+        return sa, rank, lo, hi
 
 
 def suffix_tree(word: Sequence[int]) -> SuffixTree:

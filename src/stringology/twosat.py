@@ -3,22 +3,20 @@ graph; ``oracles.brute_force_sat`` is its truth-table reference."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 Literal = tuple[int, bool]  # (variable index, polarity); True = positive
 
 
-@dataclass(frozen=True)
 class TwoSatFormula:
-    num_vars: int
-    clauses: tuple[tuple[Literal, Literal], ...]
+    __slots__ = ("num_vars", "clauses")
 
-    def __post_init__(self):
-        for c in self.clauses:
+    def __init__(self, num_vars: int, clauses: tuple[tuple[Literal, Literal], ...]):
+        for c in clauses:
             for var, _ in c:
-                if not 0 <= var < self.num_vars:
+                if not 0 <= var < num_vars:
                     raise ValueError(f"variable {var} out of range")
+        self.num_vars, self.clauses = num_vars, clauses
 
 
 def _lit_node(lit: Literal) -> int:
@@ -42,48 +40,40 @@ def two_sat_solve(f: TwoSatFormula) -> list[bool] | None:
     # iterative Tarjan
     index = [0] * n
     low = [0] * n
-    on_stack = [False] * n
-    comp = [-1] * n
-    visited = [False] * n
+    comp = [-1] * n  # a visited node is on the stack while its comp is -1
     stack: list[int] = []
-    counter = 1
+    counter = 1  # index[v] != 0 once v is visited
     ncomp = 0
     for root in range(n):
-        if visited[root]:
+        if index[root]:
             continue
         work = [(root, 0)]
         while work:
             v, pi = work[-1]
             if pi == 0:
-                visited[v] = True
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
-                on_stack[v] = True
-            recurse = False
             for i in range(pi, len(adj[v])):
                 w = adj[v][i]
-                if not visited[w]:
+                if not index[w]:
                     work[-1] = (v, i + 1)
                     work.append((w, 0))
-                    recurse = True
                     break
-                if on_stack[w]:
+                if comp[w] < 0:
                     low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-            work.pop()
-            if work:
-                u, _ = work[-1]
-                low[u] = min(low[u], low[v])
+            else:  # every edge of v is done
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        comp[w] = ncomp
+                        if w == v:
+                            break
+                    ncomp += 1
+                work.pop()
+                if work:
+                    u, _ = work[-1]
+                    low[u] = min(low[u], low[v])
 
     assignment = []
     for v in range(f.num_vars):

@@ -35,7 +35,7 @@ absent symbol and needs no test of its own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .suffixtree import SuffixTree, suffix_tree
 from .words import HOLE

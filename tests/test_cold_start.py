@@ -29,6 +29,9 @@ CHILD = (
 )
 
 HEAVY = {"dataclasses", "fractions", "inspect"}
+# what a row's module may not load under -I -S: each costs a cold line several
+# milliseconds, and a stock interpreter without site preloads none of them
+COLD_FORBIDDEN = {"typing", "dataclasses", "inspect", "re", "enum", "fractions"}
 # what the CLI needs of these is the C encoder in _json and, for a batch text
 # line, shlex; the json package (its decoder above all) costs about half the
 # cold import
@@ -79,6 +82,28 @@ def test_cli_import_loads_no_typing_without_site():
     imported, _ = loads("--help", flags=("-I", "-S"))
     assert package(imported) == {"stringology", "stringology.cli", "stringology.words"}
     assert "typing" not in imported
+
+
+def row_modules():
+    """The modules the rows name; the selftest row names none, as its op is the
+    module itself, which imports every other one."""
+    from stringology import cli
+
+    return sorted({m for cmd in cli.REGISTRY for m in cmd.modules if m})
+
+
+@pytest.mark.parametrize("module", row_modules())
+def test_a_row_module_loads_nothing_heavy_without_site(module):
+    child = ("import sys\n"
+             "sys.path.insert(0, sys.argv[1])\n"
+             "import stringology.cli\n"
+             "__import__('stringology.' + sys.argv[2])\n"
+             "print(' '.join(sorted(sys.modules)))\n")
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", child, str(SRC), module],
+                         capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(out.stdout.split())
+    assert f"stringology.{module}" in loaded
+    assert not loaded & COLD_FORBIDDEN, module
 
 
 def test_only_a_batch_text_line_loads_shlex():

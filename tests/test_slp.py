@@ -10,6 +10,8 @@ from stringology.slp import (
     slp_size,
     strict_binary,
 )
+from stringology.freeband import Quadruple, psi
+from stringology.gf2 import Gf2Poly
 from stringology.permgen import gen_sequence
 from stringology.words import SizeLimitError
 
@@ -111,6 +113,25 @@ def test_order_leaves_equality_and_repr_alone():
     g = Slp({0: ("term", 1)}, 0)
     assert g == Slp({0: ("term", 1)}, 0)
     assert repr(g) == "Slp(rules={0: ('term', 1)}, start=0)"
+
+
+def test_value_records_compare_and_hash_by_value():
+    # Gf2Poly and Quadruple are equal by value and hash alike, so equal values
+    # share one dict key; an Slp is equal by rules and start but not hashable
+    for a, b in [(Gf2Poly(37), Gf2Poly.from_exponents([5, 2, 0])),
+                 (psi([0, 1, 0, 1]), Quadruple((0,), 1, 0, (1,)))]:
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: 1, b: 2} == {a: 2}
+    assert Gf2Poly(5) != Gf2Poly(7) and Gf2Poly(5) != 5
+    assert psi([0, 1]) != psi([1, 0])
+    built = []
+    for _ in range(2):
+        b = SlpBuilder()
+        built.append(b.build(b.cat(b.term(1), b.term(2))))
+    assert built[0].rules is not built[1].rules and built[0] == built[1]
+    assert built[0] != Slp(built[0].rules, 1)
+    with pytest.raises(TypeError):
+        hash(built[0])
 
 
 def test_deep_chain_without_recursion():
