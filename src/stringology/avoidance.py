@@ -4,9 +4,12 @@ sequences for unbordered words, and list-constrained square-free words."""
 from __future__ import annotations
 
 import random
-from collections.abc import Sequence
 
 from .words import SizeLimitError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 _EVEN4 = {(0, 1, 1, 0), (1, 0, 1, 0), (0, 1, 0, 1), (1, 0, 0, 1)}
 _RANDOM_TRIES_MAX = 10 ** 6

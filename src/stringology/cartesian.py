@@ -4,7 +4,10 @@ factors sharing the same tree shape."""
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Sequence
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 class CartesianTree:

@@ -311,23 +311,31 @@ SHAPES = {
 # 3.11 ``import stringology.x as x`` takes about 0.3 us a call, and
 # ``from .x import f`` about 2 us.
 
-def _listing(key, words, form, list_max):
-    value = {"count": len(words)}
-    if list_max is not None and len(words) <= list_max:
-        value[key] = sorted(format_word(w, form) for w in words)
+def _listing(key, count, build, form, list_max):
+    """The count, and the sorted words when --list-max allows that many;
+    ``build()`` makes them only then."""
+    value = {"count": count}
+    if list_max is not None and count <= list_max:
+        value[key] = sorted(format_word(w, form) for w in build())
     return True, value, {}
 
 
 def h_factors(args, form, list_max=None):
+    """Counted on the suffix tree, so no factor is built unless it is listed."""
+    import stringology.suffixtree as suffixtree
     import stringology.words as words
 
-    return _listing("factors", words.all_factors(*args), form, list_max)
+    x = args[0]
+    words.check_factor_cap(x)
+    count = suffixtree.suffix_tree(x).factor_count()
+    return _listing("factors", count, lambda: words.all_factors(x), form, list_max)
 
 
 def h_subsequences(args, form, list_max=None):
     import stringology.words as words
 
-    return _listing("subsequences", words.all_subsequences(*args), form, list_max)
+    subs = words.all_subsequences(*args)
+    return _listing("subsequences", len(subs), lambda: subs, form, list_max)
 
 
 def h_sat(args, form):

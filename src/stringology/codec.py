@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Sequence
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 WEIGHT_TOL = 1e-9
 

@@ -6,7 +6,9 @@ suffix of a quadruple and the left window tables.  Its references are
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 _ALPHABET_MAX = 64
 

@@ -3,9 +3,11 @@ testing, and the two-cycle decomposition of de Bruijn graphs."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .words import SizeLimitError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 _EXPAND_MAX = 24
 _PRIMITIVE_MAX = 24

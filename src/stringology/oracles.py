@@ -12,9 +12,12 @@ generator uses them there: ``subseq.s_cover_positions_naive``,
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+# TYPE_CHECKING (False) is imported, not bound here: no name of this module
+# may be one that a production module defines
+from .words import TYPE_CHECKING, SizeLimitError, all_subsequences, approx_eq
 
-from .words import SizeLimitError, all_subsequences, approx_eq
+if TYPE_CHECKING:
+    from collections.abc import Hashable, Iterable, Sequence
 
 
 def naive_shortest_cover(x: Sequence[int]) -> int:

@@ -7,10 +7,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
 
 from .rings import euler_circuit
 from .words import SizeLimitError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 _SUPERPATTERN_MAX = 1000  # 500 500 symbols
 

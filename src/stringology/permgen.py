@@ -14,10 +14,12 @@ Operation semantics per kind:
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
-
 from .slp import Slp, SlpBuilder, rule_lengths, slp_expand
 from .words import SizeLimitError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Iterator, Sequence
 
 KINDS = ("zaks", "knuthC", "heap", "ehrlich", "stj")
 

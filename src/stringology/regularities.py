@@ -3,11 +3,13 @@ compressed cover / matching algorithms."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 from .rle import Run, check_runs, rle_length, rle_validate
 from .twosat import TwoSatFormula, two_sat_solve
 from .words import _THUE_MORSE_MAX, HOLE, SizeLimitError, approx_eq, fibonacci_word, zarray
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 _ATTRACTOR_MAX = 5000
 

@@ -10,7 +10,9 @@ split into chains are balanced, so one Hierholzer walk per component,
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 
 def cyclic_factors(w: Sequence[int], k: int) -> set[tuple[int, ...]]:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 Run = tuple[int, int]  # (bit, exponent >= 1)
 

@@ -348,12 +348,13 @@ def leaves_below(tree, v: int) -> list[int]:
 
 def _assert_side_ranks_match_definition(w) -> None:
     """Each internal node v of ``wildcard_index(w)`` has a side list, and it
-    is the sorted ranks, by the sorted-suffix oracle, of the suffixes that
-    start depth(v) + 1 past a leaf below a child of v other than the heavy
-    one; the empty suffix, start n, is left out."""
+    is the sorted ranks, in the tree walk that the suffix-tree check
+    validates, of the suffixes that start depth(v) + 1 past a leaf below a
+    child of v other than the heavy one; the empty suffix, start n, is left
+    out."""
     idx = wildcard_index(w)
     tree = idx.tree
-    rank = {s: r for r, s in enumerate(oracles.suffix_array(w))}
+    rank = tree.leaf_ranges()[1]
     assert sorted(idx.side) == [v for v in range(len(tree.parent)) if tree.children[v]]
     for v, side in idx.side.items():
         starts = [s + tree.depth[v] + 1 for sym, child in tree.children[v].items()
@@ -495,15 +496,20 @@ def _suffix_tree_fast():
               for _ in range(100) for s in [rng.choice((1, 2, 3, 5))]]
     for x in words:
         tree = suffix_tree(x)
-        assert _tree_shape(tree) == oracles.suffix_tree_shape(x), x
+        shape = _tree_shape(tree)
+        assert shape == oracles.suffix_tree_shape(x), x
+        # the leaves in symbol order, read off the shape's sorted preorder
+        assert [s for *_, s in shape if s >= 0] == oracles.suffix_array(x), x
         assert_tree_bookkeeping(tree)
-        sa, rank, lo, hi = tree.lexicographic()
-        assert sa == oracles.suffix_array(x), x
-        assert [sa[r] for r in rank] == list(range(tree.n)), x
+        order, rank, lo, hi = tree.leaf_ranges()
+        assert [order[r] for r in rank] == list(range(tree.n)), x
         for v in range(len(tree.parent)):
-            # By induction from the leaves, sa[lo[v]:hi[v]] holds the leaves
-            # below v: a leaf's range is its own rank, and the ranges of an
-            # internal node's children tile its range.
+            # the walk's block of v holds exactly the leaves below v
+            below = leaves_below(tree, v)
+            assert hi[v] - lo[v] == len(below), (x, v)
+            assert set(order[lo[v]:hi[v]]) == set(below), (x, v)
+            # a leaf's range is its own rank, and the ranges of an internal
+            # node's children tile its range
             if not tree.is_leaf(v):
                 assert v == 0 or len(tree.children[v]) >= 2, (x, v)
                 edge = lo[v]
@@ -538,6 +544,16 @@ def _subtable_fast():
     for _ in range(120):
         n = rng.randint(1, 60)
         _assert_sub_table([rng.randrange(3) for _ in range(n)])
+
+
+@check("factor count on the suffix tree equals the factor set "
+       "(2000 random words over 1, 2, 3 and 5 letters, length <= 40)", "fast")
+def _factor_count_fast():
+    rng = random.Random(71)
+    for _ in range(2000):
+        sigma = rng.choice((1, 2, 3, 5))
+        x = [rng.randrange(sigma) for _ in range(rng.randint(0, 40))]
+        assert suffix_tree(x).factor_count() == len(all_factors(x)), x
 
 
 @check("counting: subsequence DP vs enumeration (length <= 12)", "fast")

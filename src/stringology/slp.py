@@ -9,9 +9,11 @@ order, so nothing here recurses, however deep the grammar.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
-
 from .words import SizeLimitError
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Mapping, Sequence
 
 TERM = "term"
 CAT = "cat"

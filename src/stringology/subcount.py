@@ -3,27 +3,28 @@ independent ways; ``sub_table`` takes the marking walk, which sorts nothing."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from itertools import accumulate
 
-from .suffixtree import SuffixTree, suffix_tree
+from .suffixtree import suffix_tree
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
+
+    from .suffixtree import SuffixTree
 
 
 def dif_table_marking(tree: SuffixTree) -> list[int]:
-    """Walk up from each suffix leaf in order, marking nodes, to the first
-    node already marked: suffix k's new factors are the n - k symbols on its
-    path less that node's depth."""
+    """Walk up from each suffix leaf in order (suffix k's leaf is node
+    k + 1), marking nodes, to the first node already marked: suffix k's new
+    factors are the n - k symbols on its path less that node's depth."""
     n = tree.n
-    parent, depth, label = tree.parent, tree.depth, tree.suffix_label
-    leaf_of = [0] * n
-    for v, k in enumerate(label):
-        if k >= 0:
-            leaf_of[k] = v
+    parent, depth = tree.parent, tree.depth
     marked = [False] * len(parent)
     marked[0] = True
     dif = [0] * n
     for k in range(n):
-        v = leaf_of[k]
+        v = k + 1
         while not marked[v]:
             marked[v] = True
             v = parent[v]

@@ -13,11 +13,14 @@ naive s-cover routes stay here while the benchmark reads them."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
 from itertools import repeat
 from operator import add
 
 from .words import SizeLimitError, all_subsequences, fibonacci_number
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 _HARD_PAIR_MAX = 10 ** 6
 _MAX_SUBS_MAX = 2 * 10 ** 4  # the answer has 4181 digits, within the 4300 that print

@@ -3,7 +3,9 @@ graph; ``oracles.brute_force_sat`` is its truth-table reference."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Sequence
 
 Literal = tuple[int, bool]  # (variable index, polarity); True = positive
 

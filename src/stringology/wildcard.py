@@ -14,11 +14,17 @@ STOC 2004): a leaf lies below O(log n) light edges, so the lists hold
 O(n log n) ranks in total.  Answering "does this string start one of these
 suffixes" with a rank range is the approach of Amir, Keselman, Landau,
 Lewenstein, Lewenstein and Rodeh ("Text indexing and dictionary matching
-with one error", J. Algorithms 2000).  The lists are read off the suffix
-tree's leaf order; no two suffixes are compared symbol by symbol, so the
-build does not slow down on the long shared prefixes of Thue-Morse or
-Fibonacci words.  A node with one light leaf gets that leaf's rank as its
-list with no slice or sort; on a unary word every node takes that path.
+with one error", J. Algorithms 2000).  A rank is a leaf's place in one
+depth-first walk of the suffix tree with children in insertion order
+(``SuffixTree.leaf_ranges``), not in symbol order: the query needs only that
+the leaves below each node hold one block of ranks, which any depth-first
+walk gives.  No two suffixes are compared symbol by symbol, so the build
+does not slow down on the long shared prefixes of Thue-Morse or Fibonacci
+words.  A light leaf whose shifted start is n, the sentinel leaf of v, would
+stand for the empty suffix; no pattern rest begins it, so the filter
+``s + shift < n`` leaves it out, wherever the walk put it.  A node with one
+light leaf gets that leaf's rank as its list with no slice or sort; on a
+unary word every node takes that path.
 A query reads the tree's arrays into locals once per descent, so each
 pattern symbol costs one child lookup or one text read.
 
@@ -35,10 +41,15 @@ absent symbol and needs no test of its own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections.abc import Iterable, Sequence
 
-from .suffixtree import SuffixTree, suffix_tree
+from .suffixtree import suffix_tree
 from .words import HOLE
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Sequence
+
+    from .suffixtree import SuffixTree
 
 
 class WildcardIndex:
@@ -49,34 +60,30 @@ class WildcardIndex:
         self.symbols = frozenset(word) | {HOLE}  # what a pattern may hold and still occur
         self.tree: SuffixTree = suffix_tree(word)
         tree = self.tree
-        n, depth = tree.n, tree.depth
-        sa, rank, lo, hi = tree.lexicographic()
+        n, depth, children = tree.n, tree.depth, tree.children
+        order, rank, lo, hi = tree.leaf_ranges()
         self.lo, self.hi = lo, hi  # a query's locus u is the rank range [lo[u], hi[u])
         self.heavy: dict[int, int] = {}
         self.side: dict[int, list[int]] = {}
         heavy, side = self.heavy, self.side
-        for v, kids in enumerate(tree.children):
-            if not kids:
-                continue
+        for v in (0, *range(n + 1, len(children))):  # the root and the internal nodes
             size = 0
-            for sym, child in kids.items():  # ties resolved toward the smaller edge symbol
+            for sym, child in children[v].items():  # ties resolved toward the smaller edge symbol
                 leaves = hi[child] - lo[child]
                 if leaves > size or leaves == size and sym < best:
                     best, h, size = sym, child, leaves
             heavy[v] = best
             # v-to-leaf spells the suffix past depth(v); strip a letter.  The
-            # heavy child's leaves are a block of v's leaves in suffix order.
+            # heavy child's leaves are a block of v's leaves in walk order.
+            # A light leaf with s + shift == n is the empty suffix: left out.
             shift = depth[v] + 1
             a, b, c, d = lo[v], lo[h], hi[h], hi[v]
             if b - a + d - c == 1:  # a lone light leaf: one rank, nothing to sort
-                s = sa[a] if a < b else sa[c]
+                s = order[a] if a < b else order[c]
                 side[v] = [rank[s + shift]] if s + shift < n else []
                 continue
-            light = sa[a:b] + sa[c:d]
-            # the sentinel child, when light, is v's last leaf: the empty suffix
-            if light and light[-1] + shift == n:
-                light.pop()
-            side[v] = sorted([rank[s + shift] for s in light])
+            light = order[a:b] + order[c:d]
+            side[v] = sorted([rank[s + shift] for s in light if s + shift < n])
 
     def node_count(self) -> int:
         return len(self.tree.parent) + sum(map(len, self.side.values()))

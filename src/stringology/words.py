@@ -87,10 +87,15 @@ def prefix_table(x: Sequence[int]) -> list[int]:
     return zarray(x)
 
 
-def all_factors(x: Sequence[int]) -> set[tuple[int, ...]]:
-    """Set of all distinct non-empty factors (exhaustive oracle)."""
+def check_factor_cap(x: Sequence[int]) -> None:
+    """The cap of ``all_factors``, kept also by the CLI's factor count."""
     if len(x) > _FACTOR_MAX:
         raise SizeLimitError(f"all_factors bounded at |x| <= {_FACTOR_MAX}")
+
+
+def all_factors(x: Sequence[int]) -> set[tuple[int, ...]]:
+    """Set of all distinct non-empty factors (exhaustive oracle)."""
+    check_factor_cap(x)
     t = tuple(x)
     out: set[tuple[int, ...]] = set()
     for i in range(len(t)):

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -231,6 +232,37 @@ def test_word_factors_with_limit():
     assert rc == 0
     assert rec["value"]["count"] == 6
     assert "a" in rec["value"]["factors"]
+
+
+# runs the CLI on sys.argv[2:] under a 256 MB address-space limit, with the
+# source tree sys.argv[1] on the path (-I ignores PYTHONPATH)
+SMALL_CHILD = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+sys.path.insert(0, sys.argv[1])
+from stringology import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def test_word_factors_at_its_cap_counts_without_listing():
+    """At the cap of 2000 the count is one line in small memory: the set of
+    every factor would ask for about 10 GB."""
+    pytest.importorskip("resource")
+    rng = random.Random(5)
+    w = "".join(rng.choice("ab") for _ in range(2000))
+    src = Path(__file__).resolve().parents[1] / "src"
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-I", "-c", SMALL_CHILD, str(src), "word", "factors", w],
+                          capture_output=True, text=True, timeout=60)
+    seconds = time.perf_counter() - t0
+    assert proc.returncode == 0, proc.stderr
+    [line] = proc.stdout.splitlines()
+    # n(n+1)/2 less the longest common prefixes of neighbours in suffix order
+    sa = sorted(range(len(w)), key=lambda i: w[i:])
+    lcp = sum(len(os.path.commonprefix([w[a:], w[b:]])) for a, b in zip(sa, sa[1:]))
+    assert json.loads(line)["value"] == {"count": len(w) * (len(w) + 1) // 2 - lcp}
+    assert seconds < 2, seconds
 
 
 def test_rle_find_exit_codes():

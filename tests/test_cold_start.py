@@ -31,7 +31,10 @@ CHILD = (
 HEAVY = {"dataclasses", "fractions", "inspect"}
 # what a row's module may not load under -I -S: each costs a cold line several
 # milliseconds, and a stock interpreter without site preloads none of them
-COLD_FORBIDDEN = {"typing", "dataclasses", "inspect", "re", "enum", "fractions"}
+# (collections.abc first loads collections; annotation-only names come from
+# it behind TYPE_CHECKING)
+COLD_FORBIDDEN = {"typing", "dataclasses", "inspect", "re", "enum", "fractions",
+                  "collections.abc"}
 # what the CLI needs of these is the C encoder in _json and, for a batch text
 # line, shlex; the json package (its decoder above all) costs about half the
 # cold import
