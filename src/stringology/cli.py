@@ -135,8 +135,11 @@ def parse_poly(text: str) -> Gf2Poly:
                 exps.append(1)
             else:
                 exps.append(int(term.lstrip("x").lstrip("^")))
-        return gf2.Gf2Poly.from_exponents(exps)
-    return gf2.Gf2Poly.from_exponents([int(p) for p in t.split(",")])
+    else:
+        exps = [int(p) for p in t.split(",")]
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {text!r}")
+    return gf2.Gf2Poly.from_exponents(exps)
 
 
 def _bits(word: Sequence[int]) -> str:
@@ -249,15 +252,25 @@ KINDS = {
     "text": str,
 }
 WORD_KINDS = ("word", "hole-word", "int-word")
+# the kinds read by int() or float(), whose ValueError is a malformed number
+NUMBER_KINDS = ("int", "count", "int-list", "float-list", "runs", "poly")
 
 
 def _parse(kind: str, text: str):
     """An argument or option text parsed by its kind.  Every kind is ASCII
     only: str.isdigit, int() and float() also read other scripts' digits,
-    so an Arabic-Indic "٣" would be 3."""
+    so an Arabic-Indic "٣" would be 3.  A number kind that fails to parse
+    is the same error as a non-ASCII text, not Python's own message."""
     if not text.isascii():
         raise UsageError(f"cannot parse {'word' if kind in WORD_KINDS else kind} {text!r}")
-    return KINDS[kind](text)
+    try:
+        return KINDS[kind](text)
+    except UsageError:
+        raise
+    except ValueError:
+        if kind not in NUMBER_KINDS:
+            raise
+        raise UsageError(f"cannot parse {kind} {text!r}") from None
 
 
 def _code(c, form):
@@ -349,7 +362,10 @@ def h_sat(args, form):
             raise UsageError("each clause needs two literals")
         pair = []
         for lit in lits:
-            v = int(lit)
+            try:
+                v = int(lit)
+            except ValueError:
+                raise UsageError(f"cannot parse clause {part!r}") from None
             if v == 0:
                 raise UsageError("literals are nonzero signed integers")
             pair.append((abs(v) - 1, v > 0))
@@ -408,7 +424,11 @@ def h_listsq_run(args, form):
     import stringology.avoidance as avoidance
 
     lists, control = args
-    trace = avoidance.list_squarefree(lists, [int(c) for c in control])
+    try:
+        steps = [int(c) for c in control]
+    except ValueError:
+        raise UsageError(f"cannot parse control {control!r}") from None
+    trace = avoidance.list_squarefree(lists, steps)
     ok = len(trace.word) == len(lists)
     return ok, format_word(list(trace.word), "letters"), {
         "pushes": trace.ops.count("push"), "pops": trace.ops.count("pop")}

@@ -92,8 +92,11 @@ def _check_weights(p: Sequence[float]) -> None:
 def huffman_cost(p: Sequence[float]) -> tuple[float, list[int]]:
     """Minimal average depth and the per-leaf depth list.
 
-    Ties merge the two earliest-inserted entries, so depth lists are
-    reproducible; the cost itself is tie-invariant.
+    Leaves are ids 0..n-1 and the i-th merge makes node n + i, the parent of
+    the two lightest entries; ties merge the two earliest-inserted entries,
+    so depth lists are reproducible (the cost itself is tie-invariant).  A
+    parent's id exceeds its children's, so one pass down the ids gives each
+    depth.
     """
     _check_weights(p)
     n = len(p)
@@ -101,27 +104,17 @@ def huffman_cost(p: Sequence[float]) -> tuple[float, list[int]]:
         return 0.0, [0]
     heap = [(w, i) for i, w in enumerate(p)]
     heapq.heapify(heap)
-    children: dict[int, tuple[int, int]] = {}
-    counter = n
-    while len(heap) > 1:
+    parent = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
         w1, a = heapq.heappop(heap)
         w2, b = heapq.heappop(heap)
-        children[counter] = (a, b)
-        heapq.heappush(heap, (w1 + w2, counter))
-        counter += 1
-    root = heap[0][1]
-    depths = [0] * n
-    stack = [(root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node < n:
-            depths[node] = d
-        else:
-            a, b = children[node]
-            stack.append((a, d + 1))
-            stack.append((b, d + 1))
-    cost = sum(w * d for w, d in zip(p, depths))
-    return cost, depths
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (w1 + w2, node))
+    depth = [0] * (2 * n - 1)  # the root, node 2n - 2, has depth 0
+    for node in range(2 * n - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    depths = depth[:n]
+    return sum(w * d for w, d in zip(p, depths)), depths
 
 
 def kraft_sum(depths: Sequence[int]) -> Fraction:
@@ -156,54 +149,28 @@ def shrink_runs(x: Sequence[int]) -> list[int]:
 
 
 def pairing_partition(x: Sequence[int]) -> PairPartition:
-    """Greedy vertex split of the adjacency multigraph guaranteeing that
-    left-right pairs cover at least a quarter of the adjacent positions."""
+    """Greedy vertex split of the adjacency multigraph: in first-occurrence
+    order each letter goes left when ``2*to_right + to_unplaced >=
+    2*from_left + from_unplaced`` over its out- and in-adjacencies, else
+    right.  Left-right pairs then cover at least a quarter of the adjacent
+    positions (selftest checks the bound)."""
     if len(x) < 2:
         raise ValueError("need |x| >= 2")
     if any(a == b for a, b in zip(x, x[1:])):
         raise ValueError("input must not contain unary runs")
-    order: list[int] = []
-    for s in x:
-        if s not in order:
-            order.append(s)
-    out_deg: dict[int, dict[int, int]] = {v: {} for v in order}
-    in_deg: dict[int, dict[int, int]] = {v: {} for v in order}
+    succ: dict[int, list[int]] = {v: [] for v in dict.fromkeys(x)}
+    pred: dict[int, list[int]] = {v: [] for v in succ}
     for a, b in zip(x, x[1:]):
-        out_deg[a][b] = out_deg[a].get(b, 0) + 1
-        in_deg[b][a] = in_deg[b].get(a, 0) + 1
-    left: set[int] = set()
-    right: set[int] = set()
-    m = set(order)
-
-    def potential() -> int:
-        p = 0
-        for a, targets in out_deg.items():
-            for b, c in targets.items():
-                if a in left and b in right:
-                    p += 4 * c
-                elif a in left and b in m:
-                    p += 2 * c
-                elif a in m and b in right:
-                    p += 2 * c
-                elif a in m and b in m:
-                    p += c
-        return p
-
-    phi = potential()
-    for v in order:
-        m.discard(v)
-        to_right = sum(c for b, c in out_deg[v].items() if b in right)
-        to_m = sum(c for b, c in out_deg[v].items() if b in m)
-        from_left = sum(c for a, c in in_deg[v].items() if a in left)
-        from_m = sum(c for a, c in in_deg[v].items() if a in m)
-        if 2 * to_right + to_m >= 2 * from_left + from_m:
-            left.add(v)
-        else:
-            right.add(v)
-        new_phi = potential()
-        assert new_phi >= phi, "pairing potential decreased"
-        phi = new_phi
-    return PairPartition(frozenset(left), frozenset(right))
+        succ[a].append(b)
+        pred[b].append(a)
+    # +1 left, -1 right, 0 not placed yet: an out-neighbour weighs 1 - side
+    # (2 if right, 1 if unplaced) and an in-neighbour 1 + side
+    side = dict.fromkeys(succ, 0)
+    for v in succ:
+        gain = sum(1 - side[b] for b in succ[v])
+        side[v] = 1 if gain >= sum(1 + side[a] for a in pred[v]) else -1
+    return PairPartition(frozenset(v for v in side if side[v] > 0),
+                         frozenset(v for v in side if side[v] < 0))
 
 
 def compress_pairs(x: Sequence[int], part: PairPartition) -> list[int]:

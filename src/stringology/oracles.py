@@ -41,11 +41,6 @@ def naive_shortest_cover(x: Sequence[int]) -> int:
     return n
 
 
-def factor_search(pattern: Sequence[int], text: Sequence[int]) -> bool:
-    p, t = tuple(pattern), tuple(text)
-    return any(t[i:i + len(p)] == p for i in range(len(t) - len(p) + 1))
-
-
 def anticover_exists_bruteforce(x: Sequence[int]) -> bool:
     """Exhaustive search over selections of length-2 factor occurrences,
     memoized on (position, used factor words, coverage overhang delta)."""

@@ -248,34 +248,33 @@ def _sparse_prefix_table(runs: Sequence[Run]) -> tuple[list[int], list[int]]:
 
 
 def rle_shortest_cover(runs: Sequence[Run]) -> int:
-    """Length of the shortest cover of the decoded word, in run-space."""
+    """Length of the shortest cover of the decoded word, in run-space: the
+    smallest prefix-match value v such that the occurrences matching at
+    least v symbols leave no gap wider than v.  The values are tried in
+    increasing order, unlinking each value's occurrences from a doubly
+    linked list once it fails."""
     rle_validate(runs)
     if len(runs) == 1:
         return 1
     n = rle_length(runs)
     starts, prefs = _sparse_prefix_table(runs)
-    # bucket occurrence indices by prefix-match value
     by_val: dict[int, list[int]] = {}
     for idx, v in enumerate(prefs):
         by_val.setdefault(v, []).append(idx)
-    values = sorted(by_val)
-    # doubly linked list over occurrences plus a virtual end node at position n
-    order = list(range(len(starts))) + [len(starts)]
-    posof = starts + [n]
-    nxt = {order[i]: order[i + 1] for i in range(len(order) - 1)}
-    prv = {order[i + 1]: order[i] for i in range(len(order) - 1)}
-    maxgap = max(posof[nxt[i]] - posof[i] for i in list(nxt))
-    prev_val = None
-    for val in values:
-        if prev_val is not None:
-            for idx in by_val[prev_val]:
-                a, b = prv[idx], nxt[idx]
-                nxt[a] = b
-                prv[b] = a
-                maxgap = max(maxgap, posof[b] - posof[a])
-        prev_val = val
+    # occurrences 0..k-1 and a virtual end node k at position n; occurrence
+    # 0 matches all n symbols, so it is never unlinked
+    k = len(starts)
+    pos = starts + [n]
+    nxt = list(range(1, k + 1))
+    prv = list(range(-1, k))
+    maxgap = max(pos[i + 1] - pos[i] for i in range(k))
+    for val in sorted(by_val):
         if maxgap <= val:
             return val
+        for idx in by_val[val]:
+            a, b = prv[idx], nxt[idx]
+            nxt[a], prv[b] = b, a
+            maxgap = max(maxgap, pos[b] - pos[a])
     return n
 
 

@@ -17,10 +17,8 @@ from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from time import perf_counter
-from typing import Callable, Iterator, NamedTuple
 
 from . import oracles
 from .avoidance import (
@@ -58,6 +56,10 @@ from .words import (
     HOLE, all_factors, all_subsequences, bar, fibonacci_word, is_subsequence,
     thue_morse,
 )
+
+TYPE_CHECKING = False  # typing.TYPE_CHECKING, without importing typing at run time
+if TYPE_CHECKING:
+    from collections.abc import Callable, Iterator
 
 CHECKS: list[tuple[str, str, Callable[[], None]]] = []
 
@@ -180,6 +182,8 @@ def _anticover_valid():
 
 @check("Huffman sandwich and exact Kraft equality (10^4 draws)", "fast")
 def _huffman():
+    from fractions import Fraction  # imports re: paid only when the check runs
+
     rng = random.Random(17)
     for _ in range(10_000):
         n = rng.randint(1, 64)
@@ -229,6 +233,8 @@ def _pairing():
                 x.append(c)
         part = pairing_partition(x)
         assert part.left | part.right >= set(x) and not part.left & part.right, x
+        lr = sum(a in part.left and b in part.right for a, b in zip(x, x[1:]))
+        assert 4 * lr >= len(x) - 1, (x, lr)  # the greedy split's guarantee
         out = compress_pairs(x, part)
         assert 4 * len(out) <= 3 * len(x), (x, out)
 
@@ -560,6 +566,8 @@ def _factor_count_fast():
 def _counting_fast():
     for w in _bin_words(12):
         assert count_subsequences(w) == len(all_subsequences(w))
+    for w in chain.from_iterable(product(range(3), repeat=n) for n in range(9)):
+        assert count_subsequences(w) == len(all_subsequences(w)), w
     for n in range(0, 13):
         best = max(count_subsequences(w) for w in _bin_words(n, n)) if n else 1
         assert best == max_subs(n)
@@ -891,13 +899,17 @@ def _generators_full():
         assert is_universal_shape_word(w, n), n
 
 
-class Result(NamedTuple):
+class Result:
     """The outcome of one check."""
 
-    name: str
-    level: str
-    seconds: float
-    error: str | None  # "<Type>: <message>" if the check raised, else None
+    __slots__ = ("name", "level", "seconds", "error")
+
+    def __init__(self, name: str, level: str, seconds: float, error: str | None):
+        self.name, self.level, self.seconds = name, level, seconds
+        self.error = error  # "<Type>: <message>" if the check raised, else None
+
+    def _asdict(self) -> dict:
+        return {key: getattr(self, key) for key in self.__slots__}
 
 
 LEVELS = {"fast": ("fast",), "full": ("fast", "full")}

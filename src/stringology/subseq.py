@@ -307,27 +307,15 @@ def longest_palindromic_subsequence(x: Sequence[int]) -> list[int]:
 
 
 def count_subsequences(x: Sequence[int]) -> int:
-    """Number of distinct subsequences (with the empty word), counted as
-    paths of the subsequence automaton."""
-    n = len(x)
-    if n > 60:
+    """Number of distinct subsequences (with the empty word).  Appending c
+    doubles the count, less the count just before c's previous occurrence:
+    those subsequences ending in c were already counted once."""
+    if len(x) > 60:
         raise SizeLimitError("count_subsequences bounded at |x| <= 60")
-    alphabet = sorted(set(x))
-    nxt = {c: [n] * (n + 1) for c in alphabet}
-    for i in range(n - 1, -1, -1):
-        for c in alphabet:
-            nxt[c][i] = nxt[c][i + 1]
-        nxt[x[i]][i] = i
-    paths = [0] * (n + 2)
-    paths[n] = 1  # the empty continuation
-    for i in range(n - 1, -1, -1):
-        total = 1
-        for c in alphabet:
-            j = nxt[c][i]
-            if j < n:
-                total += paths[j + 1]
-        paths[i] = total
-    return paths[0]
+    d, last = 1, {}
+    for c in x:
+        d, last[c] = 2 * d - last.get(c, 0), d
+    return d
 
 
 def max_subs(n: int) -> int:

@@ -140,6 +140,21 @@ def test_usage_errors_exit_2():
                         "word factors --list-max: cannot parse count '٣'")):
         rc, out = run_cli(line)
         assert rc == 2 and json.loads(out)["value"] == want, line
+    # a malformed number is the same one line, not Python's own message
+    for line, want in ((["rle", "decode", "1:3,0"], "cannot parse runs '1:3,0'"),
+                       (["rle", "decode", "0110"], "cannot parse runs '0110'"),
+                       (["huffman", "cost", "0.5,x"], "cannot parse float-list '0.5,x'"),
+                       (["attractor", "check", "abab", "1,x"], "cannot parse int-list '1,x'"),
+                       (["word", "thue-morse", "x"], "cannot parse int 'x'"),
+                       (["sat", "solve", "1,2 1,a"], "cannot parse clause '1,a'"),
+                       (["listsq", "run", "abcde", "1111111a"],
+                        "cannot parse control '1111111a'"),
+                       (["lfsr", "primitive", "x-1+1"], "cannot parse poly 'x-1+1'"),
+                       (["lfsr", "primitive", "3,-1,0"], "cannot parse poly '3,-1,0'"),
+                       (["word", "factors", "0110", "--list-max", "x"],
+                        "word factors --list-max: cannot parse count 'x'")):
+        rc, out = run_cli(line)
+        assert rc == 2 and json.loads(out)["value"] == want, line
 
 
 def test_randomized_commands_require_seed():
@@ -186,6 +201,9 @@ def test_runs_and_poly_parsers():
     assert parse_runs("111000011") == [(1, 3), (0, 4), (1, 2)]
     assert parse_poly("x5+x2+1").exponents() == [0, 2, 5]
     assert parse_poly("5,2,0").exponents() == [0, 2, 5]
+    for text in ("x-1+1", "5,-2,0"):
+        with pytest.raises(ValueError, match="^negative exponent in "):
+            parse_poly(text)
 
 
 def test_period_command_with_hole():

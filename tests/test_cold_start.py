@@ -88,11 +88,11 @@ def test_cli_import_loads_no_typing_without_site():
 
 
 def row_modules():
-    """The modules the rows name; the selftest row names none, as its op is the
-    module itself, which imports every other one."""
+    """The modules the rows name; the selftest row's op is the module itself,
+    which imports every other one."""
     from stringology import cli
 
-    return sorted({m for cmd in cli.REGISTRY for m in cmd.modules if m})
+    return sorted({m or op for cmd in cli.REGISTRY for op, m in zip(cmd.ops, cmd.modules)})
 
 
 @pytest.mark.parametrize("module", row_modules())

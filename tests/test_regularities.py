@@ -5,8 +5,8 @@ import random
 import pytest
 
 from stringology.oracles import (
+    approx_occurs,
     attractor_refinement,
-    factor_search,
     hole_word_local_periods,
     naive_shortest_cover,
 )
@@ -235,7 +235,7 @@ def test_rle_cover_large_exponents():
 def test_rle_find_examples():
     assert rle_find(rle_encode([1, 1]), rle_encode([1, 1, 1]))
     # 110 occurs in 101101 at position 2 (oracle-verified)
-    assert factor_search([1, 1, 0], [1, 0, 1, 1, 0, 1])
+    assert approx_occurs([1, 1, 0], [1, 0, 1, 1, 0, 1])
     assert rle_find(rle_encode([1, 1, 0]), rle_encode([1, 0, 1, 1, 0, 1]))
     assert not rle_find(rle_encode([1, 1, 1]), rle_encode([1, 1, 0, 1, 1]))
 
@@ -248,7 +248,7 @@ def test_rle_find_exhaustive_small():
             for m in range(1, n + 1):
                 for pm in range(1 << (m - 1)):
                     x = [1] + [(pm >> i) & 1 for i in range(m - 1)]
-                    assert rle_find(rle_encode(x), ry) == factor_search(x, y)
+                    assert rle_find(rle_encode(x), ry) == approx_occurs(x, y)
 
 
 def test_rle_find_run_aligned_oracle_big_exponents():
