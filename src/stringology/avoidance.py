@@ -169,18 +169,16 @@ def is_grasshopper_subsequence(z: Sequence[int], y: Sequence[int]) -> bool:
     return True
 
 
-def recover_square(x: Sequence[int], z: Sequence[int], *,
-                   verify_occurrence: bool = False) -> list[int]:
-    """Turn a grasshopper square of the doubled word back into an ordinary
+def recover_square(x: Sequence[int], z: Sequence[int]) -> list[int]:
+    """Turn a grasshopper square z of the doubled word back into an ordinary
     square of the ternary word x.
 
-    Occurrence validation is opt-in: the gap-filling walk itself only reads z.
+    The gap-filling walk reads only z; that z grasshopper-occurs in
+    ``doubling_code(x)`` is the caller's to check (``is_grasshopper_subsequence``).
     """
     k = len(z)
     if k < 2 or k % 2 or list(z[:k // 2]) != list(z[k // 2:]):
         raise ValueError("z must be a square")
-    if verify_occurrence and not is_grasshopper_subsequence(z, doubling_code(x)):
-        raise ValueError("z is not a grasshopper subsequence of the doubled word")
     v: list[int] = []
     i = 0
     while i < k:

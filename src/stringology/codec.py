@@ -83,6 +83,8 @@ def hamming_correct(code: HammingCode, y: Sequence[int]) -> tuple[list[int], int
 def _check_weights(p: Sequence[float]) -> None:
     if not p:
         raise ValueError("need at least one weight")
+    if not all(map(math.isfinite, p)):
+        raise ValueError("weights must be finite")
     if any(w <= 0 for w in p):
         raise ValueError("weights must be positive")
     if abs(sum(p) - 1.0) > WEIGHT_TOL:

@@ -1,8 +1,9 @@
 """Idempotent (free band) equivalence of words: the congruence generated by
-identifying uu with u, decided through characteristic quadruples.  Every
-right-to-left scan is the left-to-right one run on the reversed word: the
-suffix of a quadruple and the left window tables.  Its references are
-``oracles.band_signature`` and ``oracles.rewrite_closure_classes``."""
+identifying uu with u, decided through characteristic quadruples.  One
+right-to-left scan gives the ends of every window of k letters for every k
+at once; the left windows and the suffix of a quadruple are the same scans
+run on the reversed word.  Its references are ``oracles.band_signature`` and
+``oracles.rewrite_closure_classes``."""
 
 from __future__ import annotations
 
@@ -55,46 +56,26 @@ def psi(x: Sequence[int]) -> Quadruple:
     return Quadruple(p, a, b, q[::-1])
 
 
-def _right_windows(z: Sequence[int], k: int) -> list[int]:
-    """right[i] = largest j with |alph(z[i..j])| = k, or -1 when fewer than
-    k letters remain."""
-    n = len(z)
-    right = [-1] * n
-    counts: dict[int, int] = {}
-    j = -1  # window [i, j] holds at most k distinct letters, maximal j
-    distinct = 0
-    for i in range(n):
-        if j < i - 1:
-            j = i - 1
-        while j + 1 < n:
-            c = z[j + 1]
-            if counts.get(c, 0) == 0 and distinct == k:
-                break
-            counts[c] = counts.get(c, 0) + 1
-            if counts[c] == 1:
-                distinct += 1
-            j += 1
-        right[i] = j if distinct == k else -1
-        if j >= i:
-            counts[z[i]] -= 1
-            if counts[z[i]] == 0:
-                distinct -= 1
-        else:
-            j = i
-    return right
-
-
-def _rank_windows(z: Sequence[int], k: int) -> tuple[list[int], list[int]]:
-    """(right_k, left_k): left_k[j] = smallest i with |alph(z[i..j])| = k (or
-    -1), the right table of the reversed word read backwards."""
-    last = len(z) - 1
-    mirror = _right_windows(z[::-1], k)
-    return _right_windows(z, k), [-1 if i < 0 else last - i for i in reversed(mirror)]
+def _window_ends(z: Sequence[int]) -> list[list[int]]:
+    """ends[i][k] = largest j with |alph(z[i..j])| = k, for k = 0..|alph(z[i:])|:
+    the (k+1)-th first position of a letter in z[i:], less one, or n-1 after
+    the last.  One right-to-left scan keeps those entries in order."""
+    ends, entry = [[len(z) - 1]], {}  # entry: letter -> its value in ends[i+1]
+    for i in range(len(z) - 1, -1, -1):
+        e = [i - 1, *ends[-1]]
+        if z[i] in entry:
+            e.remove(entry[z[i]])
+        entry[z[i]] = i - 1
+        ends.append(e)
+    return ends[:0:-1]
 
 
 def idempotent_equivalent(x: Sequence[int], y: Sequence[int]) -> bool:
     """Dynamic-programming equivalence test over the essential factors of
-    the joined word x $ y, assigning dense class ids rank by rank."""
+    x $ y.  Rank by rank from the empty factor, a factor with k letters gets
+    the dense id of its quadruple: the ids of its longest prefix and suffix
+    with k-1 letters and the letters next to them.  One scan of x $ y gives
+    every prefix end, one scan of its reverse every suffix start."""
     if len(set(x) | set(y)) > _ALPHABET_MAX:
         raise ValueError(f"combined alphabet bounded at {_ALPHABET_MAX}")
     if not x or not y:
@@ -104,38 +85,16 @@ def idempotent_equivalent(x: Sequence[int], y: Sequence[int]) -> bool:
     sep = max(max(x), max(y)) + 1
     z = list(x) + [sep] + list(y)
     n = len(z)
-    span_x = (0, len(x) - 1)
-    span_y = (len(x) + 1, n - 1)
+    ends = _window_ends(z)
+    starts = [list(map((n - 1).__sub__, e)) for e in reversed(_window_ends(z[::-1]))]
+    right = left = [0] * n  # rank 0: the empty factors (i, i-1) and (j+1, j)
+    for k in range(1, len(set(x)) + 1):
+        order: dict[tuple, int] = {}
 
-    ranks = len(set(z))
-    tables = {k: _rank_windows(z, k) for k in range(1, ranks + 1)}
+        def quad(r: int, s: int) -> int:
+            a, b = ends[r][k - 1], starts[s][k - 1]
+            return order.setdefault((right[r], z[a + 1], z[b - 1], left[s]), len(order))
 
-    ids: dict[tuple[int, int], int] = {}
-    # rank 1: essential unary factors get the letter itself as id
-    right1, left1 = tables[1]
-    for i in range(n):
-        if right1[i] >= i:
-            ids[(i, right1[i])] = z[i]
-    for j in range(n):
-        if left1[j] >= 0:
-            ids[(left1[j], j)] = z[j]
-
-    for k in range(2, ranks + 1):
-        rightk, leftk = tables[k]
-        spans = set()
-        for i in range(n):
-            if rightk[i] >= 0:
-                spans.add((i, rightk[i]))
-        for j in range(n):
-            if leftk[j] >= 0:
-                spans.add((leftk[j], j))
-        prev_right, prev_left = tables[k - 1]
-        quads = {}
-        for (r, s) in spans:
-            rp = prev_right[r]
-            sp = prev_left[s]
-            quads[(r, s)] = (ids[(r, rp)], z[rp + 1], z[sp - 1], ids[(sp, s)])
-        order = {quad: idx for idx, quad in enumerate(sorted(set(quads.values())))}
-        for span, q in quads.items():
-            ids[span] = order[q]
-    return ids[span_x] == ids[span_y]
+        right, left = ([quad(r, e[k]) if len(e) > k else -1 for r, e in enumerate(ends)],
+                       [quad(e[k], s) if len(e) > k else -1 for s, e in enumerate(starts)])
+    return right[0] == left[n - 1]

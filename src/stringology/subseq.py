@@ -4,8 +4,8 @@ minimal subsequences, palindromic subsequences, and subsequence counting.
 The s-cover test follows the paper's lists L and R of y-positions: L is the
 lexicographically first embedding of x in y with p_1 = 0, and R the last one
 with q_m = n-1 (the paper's ``q_m = m-1`` reads n-1 here, the last position
-of y).  R is L of the reversed words, read backwards, so one greedy scan
-builds both, and RIGHT is LEFT of the mirror.
+of y).  One greedy scan of y gives L and LEFT together; the same scan of the
+reversed words gives R and RIGHT, read backwards.
 
 The distinguisher reference is ``oracles.shortest_distinguisher_length``; the
 naive s-cover routes stay here while the benchmark reads them."""
@@ -39,44 +39,35 @@ class SCoverTables:
         self.p = p          # longest x-prefix ending with y[i] seen so far
 
 
-def _first_embedding(x: Sequence[int], y: Sequence[int]) -> list[int] | None:
-    """L, the greedy leftmost embedding of x in y, when it starts at 0."""
-    if not y or y[0] != x[0]:
-        return None
-    out = [0]
-    j = 1
-    for i in range(1, len(y)):
-        if j == len(x):
-            break
-        if y[i] == x[j]:
-            out.append(i)
-            j += 1
-    return out if j == len(x) else None
-
-
-def _counts_before(emb: list[int], n: int) -> list[int]:
-    """c[i] = |{k in emb : k < i}| for an increasing position list emb."""
-    out = [0] * n
-    seen = 0
-    for i in range(n):
-        out[i] = seen
-        if seen < len(emb) and emb[seen] == i:
-            seen += 1
-    return out
+def _leftmost(x: Sequence[int], y: Sequence[int]) -> tuple[list[int] | None, list[int]]:
+    """(L, LEFT) from one greedy scan: L is the leftmost embedding of x in y,
+    or None when x does not embed; LEFT[i] = |{k in L : k < i}|, and LEFT's
+    length is how far the scan has read."""
+    emb: list[int] = []
+    left: list[int] = []
+    try:
+        for j, c in enumerate(x):
+            k = y.index(c, len(left))
+            left += [j] * (k + 1 - len(left))  # y[..k] follows j positions of L
+            emb.append(k)
+    except ValueError:
+        return None, left
+    left += [len(x)] * (len(y) - len(left))
+    return emb, left
 
 
 def s_cover_tables(x: Sequence[int], y: Sequence[int]) -> SCoverTables | None:
     """Tables of the s-cover test, or None when the border embeddings fail."""
     if not 1 <= len(x) < len(y):
         raise ValueError("need 1 <= |x| < |y|")
-    first = _first_embedding(x, y)
-    mirror = _first_embedding(x[::-1], y[::-1])  # R, read backwards
+    if x[0] != y[0] or x[-1] != y[-1]:  # L must start at 0 and R end at n-1
+        return None
+    first, left = _leftmost(x, y)
+    mirror, right = _leftmost(x[::-1], y[::-1])  # R and RIGHT, read backwards
     if first is None or mirror is None:
         return None
     n, m = len(y), len(x)
     last = [n - 1 - i for i in reversed(mirror)]
-    left = _counts_before(first, n)
-    right = _counts_before(mirror, n)[::-1]
     # p[i] = longest prefix of x ending with letter y[i] that embeds in y[:i+1]
     f: dict[int, int] = {}
     p = [0] * n
@@ -86,7 +77,7 @@ def s_cover_tables(x: Sequence[int], y: Sequence[int]) -> SCoverTables | None:
             f[x[nxt]] = nxt + 1
             nxt += 1
         p[i] = f.get(y[i], 0)
-    return SCoverTables(tuple(first), tuple(last), tuple(left), tuple(right), tuple(p))
+    return SCoverTables(tuple(first), tuple(last), tuple(left), tuple(right[::-1]), tuple(p))
 
 
 def s_cover_check(x: Sequence[int], y: Sequence[int]) -> bool:

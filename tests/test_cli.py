@@ -152,7 +152,10 @@ def test_usage_errors_exit_2():
                        (["lfsr", "primitive", "x-1+1"], "cannot parse poly 'x-1+1'"),
                        (["lfsr", "primitive", "3,-1,0"], "cannot parse poly '3,-1,0'"),
                        (["word", "factors", "0110", "--list-max", "x"],
-                        "word factors --list-max: cannot parse count 'x'")):
+                        "word factors --list-max: cannot parse count 'x'"),
+                       # a float that parses but is not finite is no weight
+                       (["huffman", "cost", "nan,0.5"], "ValueError: weights must be finite"),
+                       (["huffman", "entropy", "nan"], "ValueError: weights must be finite")):
         rc, out = run_cli(line)
         assert rc == 2 and json.loads(out)["value"] == want, line
 
@@ -414,17 +417,18 @@ for argv in json.load(sys.stdin):
 """
 
 
-def test_every_int_argument_is_checked_before_any_work():
-    """10^9 in any one int argument is one {ok: false} line at once: a size
-    or range check runs before the work, not a MemoryError after it."""
+def _answer_in_a_small_child(kind, value):
+    """Each line that gives one argument of this kind the value, and the
+    others a valid filler, answered under HUGE_CHILD's 1 GiB limit: one
+    [argv, exit status, output, seconds] record per line."""
     pytest.importorskip("resource")
     lines = []
     for cmd in REGISTRY:
-        for i, kind in enumerate(cmd.kinds):
-            if kind == "int":
+        for i, arg_kind in enumerate(cmd.kinds):
+            if arg_kind == kind:
                 args = [FILL_TEXT[name] if k == "text" else FILL[k]
                         for name, k in zip(cmd.nargs, cmd.kinds)]
-                args[i] = str(10 ** 9)
+                args[i] = value
                 lines.append([cmd.area, cmd.verb, *args])
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run([sys.executable, "-c", HUGE_CHILD], input=json.dumps(lines),
@@ -435,10 +439,29 @@ def test_every_int_argument_is_checked_before_any_work():
     assert [argv for argv, *_ in records] == lines
     for argv, rc, text, seconds in records:
         [line] = text.splitlines()
-        record = json.loads(line)
-        assert rc == 2 and record["ok"] is False, argv
-        assert "MemoryError" not in record["value"], argv
+        assert "MemoryError" not in line, argv
         assert seconds < 1.0, (argv, seconds)
+    return records
+
+
+def test_every_int_argument_is_checked_before_any_work():
+    """10^9 in any one int argument is one {ok: false} line at once: a size
+    or range check runs before the work, not a MemoryError after it."""
+    for argv, rc, text, _ in _answer_in_a_small_child("int", str(10 ** 9)):
+        assert rc == 2 and json.loads(text)["ok"] is False, argv
+
+
+def test_every_runs_argument_is_checked_before_any_work():
+    """An exponent of 10^9 in any one runs argument is one line at once: rle
+    decode refuses the length before it allocates, and the run-space rows
+    answer without decoding."""
+    records = _answer_in_a_small_child("runs", f"1:2,0:{10 ** 9}")
+    assert {tuple(argv[:2]) for argv, *_ in records} == {
+        ("rle", "decode"), ("rle", "shortest-cover"), ("rle", "find")}
+    for argv, rc, text, _ in records:
+        if argv[:2] == ["rle", "decode"]:
+            assert rc == 2, argv
+            assert json.loads(text)["value"] == "SizeLimitError: rle_decode bounded at length 5000000"
 
 
 @pytest.mark.parametrize("argv", [["lfsr", "gen", "110", "--limit"],

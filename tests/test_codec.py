@@ -96,6 +96,11 @@ def test_weight_validation():
         entropy([1.5, -0.5])
     with pytest.raises(ValueError):
         huffman_cost([])
+    nan, inf = float("nan"), float("inf")
+    for p in ([nan, 0.5], [nan], [0.5, inf], [-inf, 1.0]):
+        for f in (huffman_cost, entropy):
+            with pytest.raises(ValueError, match="weights must be finite"):
+                f(p)
 
 
 # ----------------------------------------------------------------- pairing

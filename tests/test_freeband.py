@@ -106,6 +106,35 @@ def test_three_letter_classes_need_length_eight():
     assert len(seen) + 1 == 148  # twelve classes only appear at length 8
 
 
+def _signature_id(sig, table, keys):
+    """One int per distinct band signature.  Comparing two signatures as
+    nested tuples walks every shared part once per path to it, which is
+    exponential in the number of letters; this walks each part once.  keys
+    is memoised by id(), so every signature passed in must stay alive."""
+    if type(sig) is tuple:
+        if id(sig) not in keys:
+            keys[id(sig)] = (_signature_id(sig[0], table, keys), sig[1], sig[2],
+                             _signature_id(sig[3], table, keys))
+        sig = keys[id(sig)]
+    return table.setdefault(sig, len(table))
+
+
+def test_dp_matches_recursive_quadruples_at_the_alphabet_cap():
+    # 64 letters and the separator: 65 ranks of essential factors
+    rng = random.Random(64)
+    for _ in range(3):
+        x = rng.sample(range(64), 64) + [rng.randrange(64) for _ in range(rng.randint(0, 40))]
+        i = rng.randint(0, len(x))
+        j = rng.randint(i, len(x))
+        inflated = x[:j] + x[i:j] + x[j:]
+        for y in (inflated, x[::-1]):
+            sigs = band_signature(x), band_signature(y)
+            table, keys = {}, {}
+            same = _signature_id(sigs[0], table, keys) == _signature_id(sigs[1], table, keys)
+            assert idempotent_equivalent(x, y) == same
+        assert idempotent_equivalent(x, inflated)
+
+
 def test_alphabet_bound():
     with pytest.raises(ValueError):
         idempotent_equivalent(list(range(65)), list(range(65)))

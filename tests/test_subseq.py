@@ -57,7 +57,8 @@ def test_s_cover_tables_golden():
 
 def test_s_cover_tables_follow_the_definition():
     # L: least position tuple spelling x with p_1 = 0; R: greatest with
-    # q_m = n-1; LEFT and RIGHT count them by definition
+    # q_m = n-1; LEFT and RIGHT count them by definition; P[i] is the longest
+    # prefix of x that ends with y[i] and embeds in y[:i+1]
     xs = [x for m in range(1, 5) for x in itertools.product(range(3), repeat=m)]
     for n in range(2, 8):
         for y in itertools.product(range(3), repeat=n):
@@ -79,6 +80,10 @@ def test_s_cover_tables_follow_the_definition():
                 assert (t.first, t.last) == (first[x], last[x]), (x, y)
                 assert t.left == tuple(sum(k < i for k in t.first) for i in range(n))
                 assert t.right == tuple(sum(k > i for k in t.last) for i in range(n))
+                assert t.p == tuple(
+                    max((k + 1 for k in range(len(x))
+                         if x[k] == y[i] and is_subsequence(x[:k + 1], y[:i + 1])), default=0)
+                    for i in range(n)), (x, y)
 
 
 def test_s_cover_predicate_components_match_result():
