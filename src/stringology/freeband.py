@@ -2,7 +2,7 @@
 identifying uu with u, decided through characteristic quadruples.  One
 right-to-left scan gives the ends of every window of k letters for every k
 at once; the left windows and the suffix of a quadruple are the same scans
-run on the reversed word.  Its references are ``oracles.band_signature`` and
+run on the reversed word.  Its references are ``oracles.band_signatures`` and
 ``oracles.rewrite_closure_classes``."""
 
 from __future__ import annotations

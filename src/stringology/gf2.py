@@ -86,11 +86,13 @@ def lfsr(spec: LfsrSpec) -> list[int]:
         raise SizeLimitError(f"lfsr expansion bounded at degree {_EXPAND_MAX}")
     total = (1 << n) - 1 + n - 1
     bits = [0] * (n - 1) + [1]
-    while len(bits) < total:
+    # tap i reads bits[len(bits) - n + i], that is bits[i - n]; only the
+    # nonzero taps are read
+    offsets = [i - n for i, a in enumerate(spec.taps) if a]
+    for _ in range(total - n):
         acc = 0
-        for i, a in enumerate(spec.taps):
-            if a:
-                acc ^= bits[len(bits) - n + i]
+        for i in offsets:
+            acc ^= bits[i]
         bits.append(acc)
     return bits
 

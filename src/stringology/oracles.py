@@ -368,25 +368,34 @@ def _quadruple(u: tuple[int, ...]) -> tuple[tuple[int, ...], int, int, tuple[int
     return u[:i - 1], u[i - 1], u[j], u[j + 1:]
 
 
-def band_signature(x: Sequence[int]) -> Hashable:
-    """Canonical class invariant by recursive quadruple decomposition."""
-    memo: dict[tuple[int, ...], Hashable] = {}
+def band_signatures(words: Iterable[Sequence[int]]) -> list[int]:
+    """Canonical class invariants by recursive quadruple decomposition: one
+    int per word, equal for two of the words exactly when they are
+    equivalent.
 
-    def sig(u: tuple[int, ...]) -> Hashable:
+    A word of one letter signs as that letter; any other word u, with
+    quadruple (p, a, b, q), as the tuple (sig p, a, b, sig q).  Each such key
+    is interned into an int through one table shared by all the words of the
+    call, so comparing or hashing a signature is one int operation.  Nested
+    tuples built separately would share no parts, and ``==`` or ``hash`` on
+    them walks each shared part once per path to it: exponential in the
+    number of letters."""
+    table: dict[Hashable, int] = {(): 0}  # the empty word signs as 0
+    memo: dict[tuple[int, ...], int] = {(): 0}
+
+    def sig(u: tuple[int, ...]) -> int:
         got = memo.get(u)
         if got is not None:
             return got
         if len(set(u)) == 1:
-            memo[u] = u[0]
-            return u[0]
-        p, a, b, q = _quadruple(u)
-        r = (sig(p), a, b, sig(q))
-        memo[u] = r
-        return r
+            key = u[0]
+        else:
+            p, a, b, q = _quadruple(u)
+            key = (sig(p), a, b, sig(q))
+        got = memo[u] = table.setdefault(key, len(table))
+        return got
 
-    if not x:
-        return ()
-    return sig(tuple(x))
+    return [sig(tuple(x)) for x in words]
 
 
 def rewrite_closure_classes(alphabet: int, cap: int) -> dict[tuple[int, ...], int]:

@@ -353,18 +353,20 @@ def leaves_below(tree, v: int) -> list[int]:
 
 
 def _assert_side_ranks_match_definition(w) -> None:
-    """Each internal node v of ``wildcard_index(w)`` has a side list, and it
-    is the sorted ranks, in the tree walk that the suffix-tree check
-    validates, of the suffixes that start depth(v) + 1 past a leaf below a
-    child of v other than the heavy one; the empty suffix, start n, is left
-    out."""
+    """The side list ``branch(v)`` gives each internal node v of
+    ``wildcard_index(w)`` is the sorted ranks, in the tree walk that the
+    suffix-tree check validates, of the suffixes that start depth(v) + 1 past
+    a leaf below a child of v other than the heavy one; the empty suffix,
+    start n, is left out."""
     idx = wildcard_index(w)
     tree = idx.tree
     rank = tree.leaf_ranges()[1]
-    assert sorted(idx.side) == [v for v in range(len(tree.parent)) if tree.children[v]]
-    for v, side in idx.side.items():
+    for v in range(len(tree.parent)):
+        if not tree.children[v]:
+            continue
+        heavy, side = idx.branch(v)
         starts = [s + tree.depth[v] + 1 for sym, child in tree.children[v].items()
-                  if sym != idx.heavy[v] for s in leaves_below(tree, child)]
+                  if sym != heavy for s in leaves_below(tree, child)]
         assert side == sorted(rank[s] for s in starts if s != tree.n), v
 
 
@@ -778,7 +780,7 @@ def _freeband_full():
     words: list[tuple[int, ...]] = []
     for n in range(1, 8):
         words.extend(itertools.product(range(3), repeat=n))
-    sigs = {w: oracles.band_signature(w) for w in words}
+    sigs = dict(zip(words, oracles.band_signatures(words)))
     rng = random.Random(79)
     by_sig: dict = {}
     for w, s in sigs.items():
@@ -802,11 +804,9 @@ def _freeband_counts():
     import itertools
 
     for letters, want, max_len in ((2, 7, 6), (3, 160, 8)):
-        seen = set()
-        for n in range(1, max_len + 1):
-            for w in itertools.product(range(letters), repeat=n):
-                seen.add(oracles.band_signature(w))
-        assert len(seen) + 1 == want  # plus the empty word
+        words = [w for n in range(1, max_len + 1)
+                 for w in itertools.product(range(letters), repeat=n)]
+        assert len(set(oracles.band_signatures(words))) + 1 == want  # plus the empty word
 
 
 @check("cartesian matching (10^3 words) and sub-table oracles (1872 words)", "full")

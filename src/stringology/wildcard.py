@@ -1,8 +1,8 @@
 """Text index answering one-wildcard pattern queries in O(|pattern| + log n)
-steps.
+steps, once the node the hole lands on has its record (below).
 
-Every internal suffix-tree node v carries a side list: the sorted suffix
-ranks of its light leaves, each shifted one symbol past depth(v).  A wildcard
+Every internal suffix-tree node v has a side list: the sorted suffix ranks
+of its light leaves, each shifted one symbol past depth(v).  A wildcard
 consumed at v either follows the heavy edge, or the rest of the pattern must
 begin one of those shifted suffixes.  The suffixes that begin with the rest
 are the leaf range [lo(u), hi(u)) of its locus u, found by an exact descent
@@ -22,9 +22,16 @@ walk gives.  No two suffixes are compared symbol by symbol, so the build
 does not slow down on the long shared prefixes of Thue-Morse or Fibonacci
 words.  A light leaf whose shifted start is n, the sentinel leaf of v, would
 stand for the empty suffix; no pattern rest begins it, so the filter
-``s + shift < n`` leaves it out, wherever the walk put it.  A node with one
-light leaf gets that leaf's rank as its list with no slice or sort; on a
-unary word every node takes that path.
+``s + shift < n`` leaves it out, wherever the walk put it.
+
+Building the index is the suffix tree and its leaf ranks only.  A node's
+heavy edge and side list (``WildcardIndex.branch``) are built the first time
+a hole lands on that node and kept: O(k log k) steps for its k light leaves,
+paid once by the query that needs it, and at most the cost of building every
+list up front over all nodes.  The root's list holds about n ranks, so the
+first query that starts with a hole pays most.  ``node_count`` reads the
+list sizes off the leaf counts and builds no record.
+
 A query reads the tree's arrays into locals once per descent, so each
 pattern symbol costs one child lookup or one text read.
 
@@ -59,34 +66,52 @@ class WildcardIndex:
             raise ValueError("text must not contain holes")
         self.symbols = frozenset(word) | {HOLE}  # what a pattern may hold and still occur
         self.tree: SuffixTree = suffix_tree(word)
-        tree = self.tree
-        n, depth, children = tree.n, tree.depth, tree.children
-        order, rank, lo, hi = tree.leaf_ranges()
-        self.lo, self.hi = lo, hi  # a query's locus u is the rank range [lo[u], hi[u])
-        self.heavy: dict[int, int] = {}
-        self.side: dict[int, list[int]] = {}
-        heavy, side = self.heavy, self.side
-        for v in (0, *range(n + 1, len(children))):  # the root and the internal nodes
-            size = 0
-            for sym, child in children[v].items():  # ties resolved toward the smaller edge symbol
-                leaves = hi[child] - lo[child]
-                if leaves > size or leaves == size and sym < best:
-                    best, h, size = sym, child, leaves
-            heavy[v] = best
-            # v-to-leaf spells the suffix past depth(v); strip a letter.  The
-            # heavy child's leaves are a block of v's leaves in walk order.
-            # A light leaf with s + shift == n is the empty suffix: left out.
-            shift = depth[v] + 1
-            a, b, c, d = lo[v], lo[h], hi[h], hi[v]
-            if b - a + d - c == 1:  # a lone light leaf: one rank, nothing to sort
-                s = order[a] if a < b else order[c]
-                side[v] = [rank[s + shift]] if s + shift < n else []
-                continue
-            light = order[a:b] + order[c:d]
-            side[v] = sorted([rank[s + shift] for s in light if s + shift < n])
+        # a query's locus u is the rank range [lo[u], hi[u])
+        self.order, self.rank, self.lo, self.hi = self.tree.leaf_ranges()
+        self.branches: dict[int, tuple[int, list[int]]] = {}  # built by branch(v)
+
+    def branch(self, v: int) -> tuple[int, list[int]]:
+        """(heavy symbol, side list) of the root or internal node v, built
+        the first time it is asked for and kept in ``branches``.
+
+        The heavy child has the most leaves, ties resolved toward the
+        smaller edge symbol.  The side list is the sorted ranks of v's light
+        leaves, each shifted one symbol past depth(v); a light leaf with
+        s + shift == n is the empty suffix and is left out."""
+        record = self.branches.get(v)
+        if record is not None:
+            return record
+        tree, lo, hi = self.tree, self.lo, self.hi
+        size = 0
+        for sym, child in tree.children[v].items():
+            leaves = hi[child] - lo[child]
+            if leaves > size or leaves == size and sym < best:
+                best, h, size = sym, child, leaves
+        # v-to-leaf spells the suffix past depth(v); strip a letter.  The
+        # heavy child's leaves are a block of v's leaves in walk order.
+        n, rank, order, shift = tree.n, self.rank, self.order, tree.depth[v] + 1
+        light = order[lo[v]:lo[h]] + order[hi[h]:hi[v]]
+        side = sorted([rank[s + shift] for s in light if s + shift < n])
+        record = self.branches[v] = (best, side)
+        return record
 
     def node_count(self) -> int:
-        return len(self.tree.parent) + sum(map(len, self.side.values()))
+        """Tree nodes plus side-list entries, counted from leaf counts, so
+        no record is built.  A node's list holds its leaves less the largest
+        child's, less one when a light child is the leaf that hangs by the
+        sentinel alone: its shifted suffix is empty.  The sentinel is the
+        largest symbol and its edge leads to one leaf, so it is heavy only
+        as a sole child (the root of the empty word)."""
+        tree = self.tree
+        children, sentinel = tree.children, tree.sentinel
+        size = [b - a for a, b in zip(self.lo, self.hi)]  # leaves below each node
+        leaves = size.__getitem__
+        total = len(tree.parent)
+        for v in (0, *range(tree.n + 1, len(children))):  # the root and the internal nodes
+            kids = children[v]
+            total += size[v] - max(map(leaves, kids.values()))
+            total -= sentinel in kids and len(kids) > 1
+        return total
 
 
 def wildcard_index(word: Iterable[int]) -> WildcardIndex:
@@ -149,7 +174,10 @@ def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
             return False
         return _descend_exact(tree, v, off - 1, rest) is not None
     # at a node: the heavy branch, else a light leaf shifted past the hole
-    heavy_sym = index.heavy[v]
+    record = index.branches.get(v)
+    if record is None:
+        record = index.branch(v)
+    heavy_sym, side = record
     if heavy_sym != tree.sentinel:
         child = tree.children[v][heavy_sym]
         if _descend_exact(tree, child, tree.end[child] - tree.start[child] - 1, rest) is not None:
@@ -160,6 +188,5 @@ def wildcard_search(index: WildcardIndex, pattern: Sequence[int]) -> bool:
     if locus is None:
         return False
     u = locus[0]
-    side = index.side[v]
     r = bisect_left(side, index.lo[u])
     return r < len(side) and side[r] < index.hi[u]

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from stringology.freeband import Quadruple, idempotent_equivalent, psi
-from stringology.oracles import band_signature, rewrite_closure_classes
+from stringology.oracles import band_signatures, rewrite_closure_classes
 
 from helpers import letters
 
@@ -78,7 +78,7 @@ def test_dp_matches_recursive_quadruples_all_ternary_pairs_len5():
     words = []
     for n in range(1, 6):
         words.extend(itertools.product(range(3), repeat=n))
-    sigs = {w: band_signature(w) for w in words}
+    sigs = dict(zip(words, band_signatures(words)))
     for x in words:
         for y in words:
             assert idempotent_equivalent(x, y) == (sigs[x] == sigs[y])
@@ -99,24 +99,8 @@ def test_dp_matches_rewriting_closure_components():
 
 
 def test_three_letter_classes_need_length_eight():
-    seen = set()
-    for n in range(1, 8):
-        for w in itertools.product(range(3), repeat=n):
-            seen.add(band_signature(w))
-    assert len(seen) + 1 == 148  # twelve classes only appear at length 8
-
-
-def _signature_id(sig, table, keys):
-    """One int per distinct band signature.  Comparing two signatures as
-    nested tuples walks every shared part once per path to it, which is
-    exponential in the number of letters; this walks each part once.  keys
-    is memoised by id(), so every signature passed in must stay alive."""
-    if type(sig) is tuple:
-        if id(sig) not in keys:
-            keys[id(sig)] = (_signature_id(sig[0], table, keys), sig[1], sig[2],
-                             _signature_id(sig[3], table, keys))
-        sig = keys[id(sig)]
-    return table.setdefault(sig, len(table))
+    words = [w for n in range(1, 8) for w in itertools.product(range(3), repeat=n)]
+    assert len(set(band_signatures(words))) + 1 == 148  # twelve classes only appear at length 8
 
 
 def test_dp_matches_recursive_quadruples_at_the_alphabet_cap():
@@ -128,10 +112,8 @@ def test_dp_matches_recursive_quadruples_at_the_alphabet_cap():
         j = rng.randint(i, len(x))
         inflated = x[:j] + x[i:j] + x[j:]
         for y in (inflated, x[::-1]):
-            sigs = band_signature(x), band_signature(y)
-            table, keys = {}, {}
-            same = _signature_id(sigs[0], table, keys) == _signature_id(sigs[1], table, keys)
-            assert idempotent_equivalent(x, y) == same
+            sx, sy = band_signatures([x, y])
+            assert idempotent_equivalent(x, y) == (sx == sy)
         assert idempotent_equivalent(x, inflated)
 
 

@@ -89,13 +89,17 @@ def test_symbols_equal_to_an_int_match_it(kind):
     assert not wildcard_search(idx, kind([True, True]))
 
 
+def internal_nodes(tree) -> list[int]:
+    return [v for v in range(len(tree.parent)) if tree.children[v]]
+
+
 def test_unary_word_side_lists_trivial():
     n = 12
     idx = wildcard_index([0] * n)
     tree = idx.tree
-    for v, side in idx.side.items():
-        kids = tree.children[v]
-        light = [s for s in kids if s != idx.heavy[v]]
+    for v in internal_nodes(tree):
+        heavy, side = idx.branch(v)
+        light = [s for s in tree.children[v] if s != heavy]
         assert light == [tree.sentinel]
         assert side == []
 
@@ -108,11 +112,10 @@ def test_heavy_edges_unique_and_light_ancestor_bound():
         idx = wildcard_index(w)
         tree = idx.tree
         bound = math.ceil(math.log2(tree.n)) + 1
-        for v in range(len(tree.parent)):
-            if tree.children[v]:
-                # the most leaves, the smallest symbol on a tie
-                size = {sym: len(leaves_below(tree, c)) for sym, c in tree.children[v].items()}
-                assert idx.heavy[v] == min(size, key=lambda sym: (-size[sym], sym))
+        for v in internal_nodes(tree):
+            # the most leaves, the smallest symbol on a tie
+            size = {sym: len(leaves_below(tree, c)) for sym, c in tree.children[v].items()}
+            assert idx.branch(v)[0] == min(size, key=lambda sym: (-size[sym], sym))
         for leaf in range(len(tree.parent)):
             if not tree.is_leaf(leaf):
                 continue
@@ -121,7 +124,7 @@ def test_heavy_edges_unique_and_light_ancestor_bound():
             while v:
                 p = tree.parent[v]
                 first = tree.text[tree.start[v]]
-                if idx.heavy[p] != first:
+                if idx.branch(p)[0] != first:
                     light_ancestors += 1
                 v = p
             assert light_ancestors <= bound
@@ -149,11 +152,35 @@ def side_entries_by_definition(tree) -> int:
     (fibonacci_word(14), 5332),
     (thue_morse(12), 29015),
     (fibonacci_word(16), 15391),
+    ([], 2),  # the root's one child is the sentinel leaf, and it is heavy
+    ([0] * 4, 9),  # unary: every internal node has a light sentinel child
+    ([0] * 100, 201),
+    (letters("abbaabba"), 22),
 ])
 def test_node_count_golden_structured(word, count):
     idx = wildcard_index(word)
     assert idx.node_count() == count
-    assert count == len(idx.tree.parent) + side_entries_by_definition(idx.tree)
+    assert not idx.branches  # counted from leaf counts alone
+    tree = idx.tree
+    assert count == len(tree.parent) + side_entries_by_definition(tree)
+    assert count == len(tree.parent) + sum(len(idx.branch(v)[1]) for v in internal_nodes(tree))
+
+
+@pytest.mark.parametrize("pattern, built", [
+    ("?abba", 1),  # the root's record
+    ("?", 1),
+    ("ab?a", 1),  # a node after an exact part
+    ("abba?", 1),  # no rest: the heavy symbol alone decides
+    ("abb?b", 0),  # the hole lands mid-edge
+    ("a?c", 0),  # c is not a text symbol
+    ("abba", 0),  # no hole
+])
+def test_a_search_builds_at_most_one_record(pattern, built):
+    idx = wildcard_index(thue_morse(8))
+    wildcard_search(idx, [HOLE if c == "?" else ord(c) - ord("a") for c in pattern])
+    assert len(idx.branches) == built
+    for v, record in idx.branches.items():
+        assert record is idx.branch(v)  # kept, not built again
 
 
 def test_search_matches_naive_scan_structured():
